@@ -72,7 +72,7 @@ let compile ?(params = default) (prog : program) (profiles : Runtime.Profile.t)
           match c.kind with
           | Call { callee = Direct m; _ } when (Ir.Program.meth prog m).body <> None ->
               let size = Common.callee_size st m in
-              let freq = Common.call_freq st fr c.id in
+              let freq = Ir.Freq.of_instr fr c.id in
               if
                 Common.depth_of st c.id <= params.max_depth
                 && size <= params.max_inline_size

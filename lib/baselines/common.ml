@@ -80,7 +80,4 @@ let callee_size (st : state) (m : meth_id) : int =
 
 (* Static block frequencies of the current working body. Baselines
    recompute them after every splice (cheap at Sel sizes). *)
-let freqs (st : state) : (bid, float) Hashtbl.t = Ir.Freq.static st.body
-
-let call_freq (st : state) (fr : (bid, float) Hashtbl.t) (v : vid) : float =
-  Ir.Freq.of_instr st.body fr v
+let freqs (st : state) : Ir.Freq.t = Ir.Freq.static st.body

@@ -25,5 +25,4 @@ val speculate_mono : state -> min_prob:float -> instr -> vid option
     returns the direct call's vid. Synthetic sites are never re-speculated. *)
 
 val callee_size : state -> meth_id -> int
-val freqs : state -> (bid, float) Hashtbl.t
-val call_freq : state -> (bid, float) Hashtbl.t -> vid -> float
+val freqs : state -> Ir.Freq.t

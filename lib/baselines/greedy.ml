@@ -47,7 +47,7 @@ let compile ?(params = default) (prog : program) (profiles : Runtime.Profile.t)
           | Call { callee = Direct m; _ } when (Ir.Program.meth prog m).body <> None ->
               let size = Common.callee_size st m in
               let depth = Common.depth_of st c.id in
-              let freq = Common.call_freq st fr c.id in
+              let freq = Ir.Freq.of_instr fr c.id in
               let trivial = size <= params.trivial_size in
               if
                 depth <= params.max_depth

@@ -150,11 +150,8 @@ let rec_depth (n : node) : int =
 
 (* Relative in-method frequency of each block of [fn], profile-driven when
    the method has been interpreted, static otherwise. *)
-let block_freqs (t : t) (m : meth_id) (fn : fn) : (bid, float) Hashtbl.t =
+let block_freqs (t : t) (m : meth_id) (fn : fn) : Ir.Freq.t =
   Ir.Freq.profiled fn ~counts:(fun b -> float_of_int (Runtime.Profile.block_count t.profiles m b))
-
-let freq_of_call (freqs : (bid, float) Hashtbl.t) (fn : fn) (v : vid) : float =
-  Ir.Freq.of_instr fn freqs v
 
 (* ---------- deep inlining trials ---------- *)
 
@@ -303,7 +300,7 @@ let scan_children (t : t) ~(pnid : int) ~(owner : fn) ~(owner_meth : meth_id)
           let target =
             match callee with Direct m -> Known m | Virtual sel -> Unknown sel
           in
-          let f = parent_freq *. freq_of_call freqs owner call.id in
+          let f = parent_freq *. Ir.Freq.of_instr freqs call.id in
           let n =
             make_node t ~pnid ~tname:(target_label t target) ~kind:(Cutoff target)
               ~call_vid:call.id ~owner ~site ~freq:f ~prob:1.0 ~recv_cls:None ~ancestors
@@ -504,7 +501,7 @@ let scan_orphans (t : t) : unit =
           let target =
             match callee with Direct m -> Known m | Virtual sel -> Unknown sel
           in
-          let f = freq_of_call (Lazy.force static_freqs) t.root_fn call.id in
+          let f = Ir.Freq.of_instr (Lazy.force static_freqs) call.id in
           t.children <-
             make_node t ~pnid:(-1) ~tname:(target_label t target) ~kind:(Cutoff target)
               ~call_vid:call.id ~owner:t.root_fn ~site ~freq:f ~prob:1.0 ~recv_cls:None

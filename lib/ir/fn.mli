@@ -52,9 +52,13 @@ val insert_before : fn -> before:vid -> instr_kind -> vid
 
 val set_term : fn -> bid -> terminator -> unit
 
-val delete_instr : fn -> vid -> unit
+val delete_instr : ?block:bid -> fn -> vid -> unit
 (** Removes the instruction from its block and tombstones it. Uses are not
-    rewritten — callers must have replaced them. *)
+    rewritten — callers must have replaced them. [block] names the block
+    that holds it, when the caller knows, so the others are not searched. *)
+
+val delete_instrs : fn -> vid list -> unit
+(** {!delete_instr} on each, in one sweep over the blocks. *)
 
 val delete_block : fn -> bid -> unit
 (** Tombstones the block and every instruction it contains. *)
@@ -72,13 +76,16 @@ val iter_instrs : (instr -> unit) -> fn -> unit
 val fold_blocks : ('acc -> block -> 'acc) -> 'acc -> fn -> 'acc
 val block_ids : fn -> bid list
 
-val preds : fn -> (bid, bid list) Hashtbl.t
-(** Predecessor map over live blocks, recomputed from terminators. *)
+val preds : fn -> bid list array
+(** Predecessors indexed by block id, recomputed from the terminators. Each
+    list is ascending; a block whose two [If] arms share a target appears
+    twice. Dead block ids map to []. *)
 
 val rpo : fn -> bid list
 (** Reverse postorder over blocks reachable from the entry. *)
 
-val reachable : fn -> (bid, unit) Hashtbl.t
+val reachable : fn -> bool array
+(** Indexed by block id: reachable from the entry. *)
 
 val calls : fn -> instr list
 (** Live call instructions, in block order. *)

@@ -7,12 +7,19 @@ open Types
 
 val loop_multiplier : float
 
-val static : fn -> (bid, float) Hashtbl.t
+type t
+(** Frequencies of one function state, by block and by instruction. *)
+
+val static : fn -> t
 (** Entry-relative frequency per reachable block, structural estimate. *)
 
-val profiled : fn -> counts:(bid -> float) -> (bid, float) Hashtbl.t
+val profiled : fn -> counts:(bid -> float) -> t
 (** [counts b / counts entry] per block; falls back to {!static} when the
     entry was never observed. *)
 
-val of_instr : fn -> (bid, float) Hashtbl.t -> vid -> float
-(** Frequency of the block containing the instruction (0 if unplaced). *)
+val block : t -> bid -> float
+(** 0 for unreachable or unknown blocks. *)
+
+val of_instr : t -> vid -> float
+(** Frequency of the block that held the instruction when [t] was computed
+    (0 if unplaced). *)

@@ -73,13 +73,13 @@ let inline_call ~(caller : fn) ~(call_vid : vid) ~(callee : fn) : remap =
   let vmap = Hashtbl.create 64 in
   Fn.iter_blocks
     (fun b ->
-      if Hashtbl.mem reachable b.b_id then
+      if reachable.(b.b_id) then
         Hashtbl.replace bmap b.b_id (Fn.add_block caller))
     callee;
   (* pass 1: allocate ids; params map directly to arguments *)
   Fn.iter_blocks
     (fun b ->
-      if Hashtbl.mem reachable b.b_id then
+      if reachable.(b.b_id) then
         List.iter
           (fun v ->
             match Fn.kind callee v with
@@ -106,7 +106,7 @@ let inline_call ~(caller : fn) ~(call_vid : vid) ~(callee : fn) : remap =
   let returns = ref [] in
   Fn.iter_blocks
     (fun b ->
-      if Hashtbl.mem reachable b.b_id then begin
+      if reachable.(b.b_id) then begin
         let nb = Fn.block caller (mb b.b_id) in
         nb.instrs <-
           List.filter_map
@@ -123,7 +123,7 @@ let inline_call ~(caller : fn) ~(call_vid : vid) ~(callee : fn) : remap =
                             inputs =
                               List.filter_map
                                 (fun (pb, pv) ->
-                                  if Hashtbl.mem reachable pb then Some (mb pb, mv pv)
+                                  if reachable.(pb) then Some (mb pb, mv pv)
                                   else None)
                                 inputs;
                           }

@@ -33,5 +33,5 @@ let run (fn : fn) : int =
   Ir.Fn.iter_instrs
     (fun i -> if not (Hashtbl.mem marked i.id) then dead := i.id :: !dead)
     fn;
-  List.iter (fun v -> Ir.Fn.delete_instr fn v) !dead;
+  Ir.Fn.delete_instrs fn !dead;
   List.length !dead

@@ -43,7 +43,7 @@ let run (fn : fn) : int =
               match Hashtbl.find_opt table key with
               | Some v' when v' <> v ->
                   Ir.Fn.replace_uses fn ~old_v:v ~new_v:v';
-                  Ir.Fn.delete_instr fn v;
+                  Ir.Fn.delete_instr ~block:b fn v;
                   incr replaced
               | Some _ -> ()
               | None ->

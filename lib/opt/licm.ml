@@ -31,10 +31,8 @@ let hoistable (k : instr_kind) : bool =
 (* Creates a preheader for [l]: a new block between the entry predecessors
    and the header. Returns its id, or None when the header has no entry
    predecessors (unreachable loop). *)
-let make_preheader (fn : fn) (l : Ir.Loops.loop) : bid option =
-  let preds = Ir.Fn.preds fn in
-  let header_preds = try Hashtbl.find preds l.header with Not_found -> [] in
-  let entry_preds = List.filter (fun p -> not (Hashtbl.mem l.body p)) header_preds in
+let make_preheader (fn : fn) ~(preds : bid list array) (l : Ir.Loops.loop) : bid option =
+  let entry_preds = List.filter (fun p -> not (Hashtbl.mem l.body p)) preds.(l.header) in
   match entry_preds with
   | [] -> None
   | _ ->
@@ -74,8 +72,9 @@ let make_preheader (fn : fn) (l : Ir.Loops.loop) : bid option =
         (Ir.Fn.block fn l.header).instrs;
       Some ph
 
-(* Hoists invariant instructions of one loop; returns how many moved. *)
-let hoist_loop (fn : fn) (l : Ir.Loops.loop) : int =
+(* Hoists invariant instructions of one loop; returns how many moved, or
+   None when it left the CFG as it was (no preheader was made). *)
+let hoist_loop (fn : fn) ~(preds : bid list array) (l : Ir.Loops.loop) : int option =
   (* defined-in-loop set *)
   let in_loop_def : (vid, unit) Hashtbl.t = Hashtbl.create 32 in
   Hashtbl.iter
@@ -106,10 +105,10 @@ let hoist_loop (fn : fn) (l : Ir.Loops.loop) : int =
           (Ir.Fn.block fn b).instrs)
       l.body
   done;
-  if Hashtbl.length invariant = 0 then 0
+  if Hashtbl.length invariant = 0 then None
   else
-    match make_preheader fn l with
-    | None -> 0
+    match make_preheader fn ~preds l with
+    | None -> None
     | Some ph ->
         (* move in an order where operands precede users: repeatedly take
            instructions whose invariant operands have already moved *)
@@ -138,21 +137,26 @@ let hoist_loop (fn : fn) (l : Ir.Loops.loop) : int =
                 blk.instrs)
             l.body
         done;
-        Hashtbl.length moved
+        Some (Hashtbl.length moved)
 
 let run (fn : fn) : int =
-  (* loop set is recomputed per hoisted loop: preheaders change the CFG *)
+  (* a preheader changes the CFG, so the loop forest is recomputed after
+     each one; a loop that got none leaves the current forest valid *)
   let total = ref 0 in
-  let continue_ = ref true in
   let processed : (bid, unit) Hashtbl.t = Hashtbl.create 8 in
-  while !continue_ do
-    let loops = (Ir.Loops.compute fn).loops in
-    match
-      List.find_opt (fun (l : Ir.Loops.loop) -> not (Hashtbl.mem processed l.header)) loops
-    with
-    | None -> continue_ := false
-    | Some l ->
+  let rec forest () =
+    let doms = Ir.Dominators.compute fn in
+    next (Ir.Dominators.preds doms) (Ir.Loops.of_dominators fn doms).loops
+  and next preds = function
+    | [] -> ()
+    | (l : Ir.Loops.loop) :: rest when Hashtbl.mem processed l.header -> next preds rest
+    | l :: rest -> (
         Hashtbl.replace processed l.header ();
-        total := !total + hoist_loop fn l
-  done;
+        match hoist_loop fn ~preds l with
+        | None -> next preds rest
+        | Some n ->
+            total := !total + n;
+            forest ())
+  in
+  forest ();
   !total

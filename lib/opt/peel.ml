@@ -23,8 +23,9 @@ type loop_info = {
 }
 
 let eligible_loops (fn : fn) : loop_info list =
-  let preds = Ir.Fn.preds fn in
-  let loops = (Ir.Loops.compute fn).loops in
+  let doms = Ir.Dominators.compute fn in
+  let preds = Ir.Dominators.preds doms in
+  let loops = (Ir.Loops.of_dominators fn doms).loops in
   List.filter_map
     (fun (l : Ir.Loops.loop) ->
       let exits = ref [] in
@@ -38,7 +39,7 @@ let eligible_loops (fn : fn) : loop_info list =
       | [ exit_block ]
         when List.for_all
                (fun p -> Hashtbl.mem l.body p)
-               (try Hashtbl.find preds exit_block with Not_found -> []) ->
+               preds.(exit_block) ->
           Some
             {
               header = l.header;
@@ -73,14 +74,9 @@ let worth_peeling (prog : program) (fn : fn) (l : loop_info) : bool =
 let peel (fn : fn) (l : loop_info) : unit =
   let in_body b = Hashtbl.mem l.body b in
   let doms = Ir.Dominators.compute fn in
-  let preds0 = Ir.Fn.preds fn in
-  let entry_preds =
-    (try Hashtbl.find preds0 l.header with Not_found -> [])
-    |> List.filter (fun p -> not (in_body p))
-  in
-  let latches =
-    (try Hashtbl.find preds0 l.header with Not_found -> []) |> List.filter in_body
-  in
+  let header_preds = (Ir.Dominators.preds doms).(l.header) in
+  let entry_preds = List.filter (fun p -> not (in_body p)) header_preds in
+  let latches = List.filter in_body header_preds in
   (* ---- pass 1: allocate copies ---- *)
   let bmap : (bid, bid) Hashtbl.t = Hashtbl.create 8 in
   let copies : (bid, unit) Hashtbl.t = Hashtbl.create 8 in

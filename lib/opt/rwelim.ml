@@ -85,7 +85,7 @@ let run (prog : program) (fn : fn) : int =
                 match Hashtbl.find_opt known { base = obj; slot } with
                 | Some stored ->
                     Ir.Fn.replace_uses fn ~old_v:v ~new_v:stored;
-                    Ir.Fn.delete_instr fn v;
+                    Ir.Fn.delete_instr ~block:blk.b_id fn v;
                     incr eliminated
                 | None -> (
                     match Hashtbl.find_opt fresh obj with
@@ -115,7 +115,7 @@ let run (prog : program) (fn : fn) : int =
       List.iter
         (fun v ->
           if Ir.Fn.instr_live fn v then begin
-            Ir.Fn.delete_instr fn v;
+            Ir.Fn.delete_instr ~block:blk.b_id fn v;
             incr eliminated
           end)
         !dead_stores;

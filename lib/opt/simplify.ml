@@ -13,12 +13,12 @@ let remove_unreachable (fn : fn) : bool =
   (* prune phi edges coming from dead predecessors *)
   Ir.Fn.iter_blocks
     (fun blk ->
-      if Hashtbl.mem reachable blk.b_id then
+      if reachable.(blk.b_id) then
         List.iter
           (fun v ->
             match Ir.Fn.kind fn v with
             | Phi p ->
-                let keep = List.filter (fun (pb, _) -> Hashtbl.mem reachable pb) p.inputs in
+                let keep = List.filter (fun (pb, _) -> reachable.(pb)) p.inputs in
                 if List.length keep <> List.length p.inputs then begin
                   p.inputs <- keep;
                   changed := true
@@ -28,7 +28,7 @@ let remove_unreachable (fn : fn) : bool =
     fn;
   let dead = ref [] in
   Ir.Fn.iter_blocks
-    (fun blk -> if not (Hashtbl.mem reachable blk.b_id) then dead := blk.b_id :: !dead)
+    (fun blk -> if not reachable.(blk.b_id) then dead := blk.b_id :: !dead)
     fn;
   List.iter
     (fun b ->
@@ -45,11 +45,16 @@ let remove_trivial_phis (fn : fn) : bool =
   while !progress do
     progress := false;
     let phis = ref [] in
-    Ir.Fn.iter_instrs
-      (fun i -> match i.kind with Phi _ -> phis := i :: !phis | _ -> ())
+    Ir.Fn.iter_blocks
+      (fun blk ->
+        List.iter
+          (fun v ->
+            let i = Ir.Fn.instr fn v in
+            match i.kind with Phi _ -> phis := (blk.b_id, i) :: !phis | _ -> ())
+          blk.instrs)
       fn;
     List.iter
-      (fun (i : instr) ->
+      (fun (b, (i : instr)) ->
         if Ir.Fn.instr_live fn i.id then
           match i.kind with
           | Phi { inputs; _ } -> (
@@ -61,7 +66,7 @@ let remove_trivial_phis (fn : fn) : bool =
               match ops with
               | [ v ] ->
                   Ir.Fn.replace_uses fn ~old_v:i.id ~new_v:v;
-                  Ir.Fn.delete_instr fn i.id;
+                  Ir.Fn.delete_instr ~block:b fn i.id;
                   progress := true;
                   changed := true
               | _ -> ())
@@ -72,59 +77,66 @@ let remove_trivial_phis (fn : fn) : bool =
 
 (* Merges a block with its unique successor when that successor has no
    other predecessor. Phis in the successor are trivial in that situation
-   and must have been removed first. Returns true when anything changed. *)
+   and must have been removed first. Returns true when anything changed.
+
+   Merges go highest candidate block first. Merging [s] into [b] can only
+   change whether [b] itself is a candidate ([b] takes over [s]'s
+   terminator, and [b] replaces [s] among its successors' predecessors),
+   so one scan plus a re-check of [b] after each merge visits the
+   candidates in the order a rescan after every merge would. *)
 let merge_blocks (fn : fn) : bool =
-  let changed = ref false in
-  let progress = ref true in
-  while !progress do
-    progress := false;
-    let preds = Ir.Fn.preds fn in
-    let candidates = ref [] in
-    Ir.Fn.iter_blocks
-      (fun blk ->
-        match blk.term with
-        | Goto s when s <> fn.entry && s <> blk.b_id -> (
-            match Hashtbl.find_opt preds s with
-            | Some [ p ] when p = blk.b_id -> candidates := (blk.b_id, s) :: !candidates
-            | _ -> ())
+  let preds = Ir.Fn.preds fn in
+  let target (blk : block) =
+    match blk.term with
+    | Goto s when s <> fn.entry && s <> blk.b_id && preds.(s) = [ blk.b_id ] -> Some s
+    | _ -> None
+  in
+  let merge b s =
+    let blk = Ir.Fn.block fn b in
+    let sblk = Ir.Fn.block fn s in
+    (* any phi here must be single-input; resolve it *)
+    List.iter
+      (fun v ->
+        match Ir.Fn.kind fn v with
+        | Phi { inputs = [ (_, pv) ]; _ } ->
+            Ir.Fn.replace_uses fn ~old_v:v ~new_v:pv;
+            Ir.Fn.delete_instr ~block:s fn v
+        | Phi _ -> invalid_arg "Simplify.merge_blocks: non-trivial phi in merge target"
         | _ -> ())
-      fn;
-    (* apply non-overlapping merges; recompute preds between rounds *)
-    (match !candidates with
-    | (b, s) :: _ when Ir.Fn.block_live fn b && Ir.Fn.block_live fn s ->
-        let blk = Ir.Fn.block fn b in
-        let sblk = Ir.Fn.block fn s in
-        (* any phi here must be single-input; resolve it *)
+      sblk.instrs;
+    blk.instrs <- blk.instrs @ sblk.instrs;
+    blk.term <- sblk.term;
+    (* successors' phis and predecessor lists must now name [b] *)
+    let rename pb = if pb = s then b else pb in
+    List.iter
+      (fun succ ->
         List.iter
           (fun v ->
             match Ir.Fn.kind fn v with
-            | Phi { inputs = [ (_, pv) ]; _ } ->
-                Ir.Fn.replace_uses fn ~old_v:v ~new_v:pv;
-                Ir.Fn.delete_instr fn v
-            | Phi _ -> invalid_arg "Simplify.merge_blocks: non-trivial phi in merge target"
+            | Phi p -> p.inputs <- List.map (fun (pb, pv) -> (rename pb, pv)) p.inputs
             | _ -> ())
-          sblk.instrs;
-        blk.instrs <- blk.instrs @ sblk.instrs;
-        blk.term <- sblk.term;
-        (* successors' phis must now name [b] as the predecessor *)
-        List.iter
-          (fun succ ->
-            List.iter
-              (fun v ->
-                match Ir.Fn.kind fn v with
-                | Phi p ->
-                    p.inputs <-
-                      List.map (fun (pb, pv) -> if pb = s then (b, pv) else (pb, pv)) p.inputs
-                | _ -> ())
-              (Ir.Fn.block fn succ).instrs)
-          (Ir.Fn.succs_of_term sblk.term);
-        sblk.instrs <- [];
-        Ir.Fn.delete_block fn s;
-        progress := true;
-        changed := true
-    | _ -> ())
-  done;
-  !changed
+          (Ir.Fn.block fn succ).instrs;
+        preds.(succ) <- List.sort compare (List.map rename preds.(succ)))
+      (Ir.Fn.succs_of_term sblk.term);
+    preds.(s) <- [];
+    sblk.instrs <- [];
+    Ir.Fn.delete_block fn s
+  in
+  let candidates =
+    Ir.Fn.fold_blocks (fun acc blk -> if target blk <> None then blk.b_id :: acc else acc) [] fn
+  in
+  let rec drain = function
+    | [] -> ()
+    | b :: rest when Ir.Fn.block_live fn b -> (
+        match target (Ir.Fn.block fn b) with
+        | Some s ->
+            merge b s;
+            drain (b :: rest)
+        | None -> drain rest)
+    | _ :: rest -> drain rest
+  in
+  drain candidates;
+  candidates <> []
 
 let cleanup (fn : fn) : bool =
   let a = remove_unreachable fn in

@@ -348,7 +348,7 @@ let prop_inliner_deterministic =
    strictly-dominating blocks or earlier in the same block; phi inputs
    come from values visible at the end of each predecessor. *)
 
-let gen_ir_fn : Ir.Types.fn Gen.t =
+let gen_ir_fn_with ~(prune : bool) : Ir.Types.fn Gen.t =
   let open Gen in
   let open Ir.Types in
   let* nblocks = int_range 3 9 in
@@ -388,7 +388,7 @@ let gen_ir_fn : Ir.Types.fn Gen.t =
      in
      let int_ops = [| Add; Sub; Mul; Shl; Band; Bor; Bxor |] in
      let rec fill b =
-       if Hashtbl.mem reachable b then begin
+       if reachable.(b) then begin
          let local = ref (if b = fn.entry then !params else []) in
          let pool () = !local @ visible b in
          let n_instrs = Support.Rng.int rng 4 in
@@ -415,10 +415,10 @@ let gen_ir_fn : Ir.Types.fn Gen.t =
      let preds = Ir.Fn.preds fn in
      Array.iter
        (fun b ->
-         if Hashtbl.mem reachable b && b <> fn.entry then
+         if reachable.(b) && b <> fn.entry then
            let ps =
-             (try Hashtbl.find preds b with Not_found -> [])
-             |> List.filter (Hashtbl.mem reachable)
+             preds.(b)
+             |> List.filter (fun p -> reachable.(p))
              |> List.sort_uniq compare
            in
            if List.length ps >= 2 && Support.Rng.bool rng then begin
@@ -441,7 +441,7 @@ let gen_ir_fn : Ir.Types.fn Gen.t =
      (* 4. patch terminator operands *)
      Array.iter
        (fun b ->
-         if Hashtbl.mem reachable b then
+         if reachable.(b) then
            let value_for () =
              match end_visible b with
              | [] -> Ir.Fn.append fn b (Const (Cint 7))
@@ -458,10 +458,11 @@ let gen_ir_fn : Ir.Types.fn Gen.t =
      (* unreachable blocks still carry unpatched placeholder operands;
         passes are entitled to assume live instructions are well-formed,
         so drop those blocks entirely *)
-     Array.iter
-       (fun b -> if not (Hashtbl.mem reachable b) then Ir.Fn.delete_block fn b)
-       blocks;
+     if prune then
+       Array.iter (fun b -> if not reachable.(b) then Ir.Fn.delete_block fn b) blocks;
      fn)
+
+let gen_ir_fn = gen_ir_fn_with ~prune:true
 
 let ir_fn_arbitrary =
   QCheck.make ~print:(fun fn -> Ir.Printer.fn_to_string fn) gen_ir_fn
@@ -552,6 +553,47 @@ let prop_dominators_brute_force =
             blocks)
         blocks)
 
+(* The array-backed CFG analyses against the hash-table reference in
+   ref_cfg.ml: same results, same iteration orders, bit-equal static
+   frequencies. Unpruned CFGs keep unreachable blocks that branch into the
+   reachable part, which loop bodies can pull in. *)
+let same_as_reference name arb =
+  Test.make ~name ~count:300 arb (fun fn ->
+      match Ref_cfg.mismatch fn with
+      | None -> true
+      | Some what -> Test.fail_reportf "%s@.%s" what (Ir.Printer.fn_to_string fn))
+
+let prop_cfg_reference =
+  same_as_reference "CFG analyses match the reference on random CFGs" ir_fn_arbitrary
+
+let prop_cfg_reference_unpruned =
+  same_as_reference "CFG analyses match the reference with unreachable blocks"
+    (QCheck.make ~print:Ir.Printer.fn_to_string (gen_ir_fn_with ~prune:false))
+
+(* ... and on every prepared method of the workload registry, before and
+   after LICM (which adds preheaders) *)
+let cfg_reference_registry () =
+  List.iter
+    (fun (w : Workloads.Defs.t) ->
+      let prog = Workloads.Registry.compile w in
+      Opt.Driver.prepare_program prog;
+      Ir.Program.iter_meths
+        (fun (m : Ir.Types.meth) ->
+          match m.body with
+          | None -> ()
+          | Some fn ->
+              let copy = Ir.Fn.copy fn in
+              ignore (Opt.Licm.run copy);
+              List.iter
+                (fun (stage, f) ->
+                  match Ref_cfg.mismatch f with
+                  | None -> ()
+                  | Some what ->
+                      Alcotest.failf "%s %s (%s): %s" w.name m.m_name stage what)
+                [ ("prepared", fn); ("after LICM", copy) ])
+        prog)
+    Workloads.Registry.all
+
 (* tuple algebra laws *)
 let tuple_gen =
   Gen.(pair (float_range (-50.0) 50.0) (float_range 1.0 100.0))
@@ -603,6 +645,11 @@ let () =
             prop_licm_random_cfg;
             prop_dominators_brute_force;
           ] );
+      ( "cfg-reference",
+        Alcotest.test_case "registry methods match the reference" `Quick
+          cfg_reference_registry
+        :: List.map QCheck_alcotest.to_alcotest
+             [ prop_cfg_reference; prop_cfg_reference_unpruned ] );
       ( "tuple-algebra",
         List.map QCheck_alcotest.to_alcotest
           [ prop_merge_commutative; prop_merge_associative; prop_ratio_bounds ] );
