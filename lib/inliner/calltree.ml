@@ -194,8 +194,6 @@ let spec_signature (t : t) ~(owner : fn) ~(call_vid : vid) ~(recv_cls : class_id
         (cst, refined))
     declared
 
-let digest_of_signature = Sigs.digest
-
 (* see {!Sigs.improves} *)
 let signature_improves (prog : program) ~old_sig ~new_sig : bool =
   Sigs.improves prog ~old_sig ~new_sig

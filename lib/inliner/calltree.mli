@@ -96,8 +96,6 @@ val spec_signature :
 (** Per-parameter (constant, refined type) a callsite would specialize its
     callee with. *)
 
-val digest_of_signature : (const option * ty option) array -> string
-
 val signature_improves :
   program -> old_sig:(const option * ty option) array ->
   new_sig:(const option * ty option) array -> bool

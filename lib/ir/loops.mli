@@ -23,4 +23,3 @@ val of_dominators : fn -> Dominators.t -> t
 
 val depth : t -> bid -> int
 val is_header : t -> bid -> bool
-val loop_of_header : t -> bid -> loop option

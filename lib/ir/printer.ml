@@ -103,5 +103,3 @@ let pp_program ppf (p : program) =
       | Some fn -> Fmt.pf ppf "; m%d = %s@.%a@." m.m_id m.m_name pp_fn fn
       | None -> Fmt.pf ppf "; m%d = %s (abstract)@." m.m_id m.m_name)
     p.meths
-
-let program_to_string p = Fmt.str "%a" pp_program p

@@ -18,4 +18,3 @@ val pp_term : Format.formatter -> terminator -> unit
 val pp_fn : Format.formatter -> fn -> unit
 val fn_to_string : fn -> string
 val pp_program : Format.formatter -> program -> unit
-val program_to_string : program -> string

@@ -133,8 +133,6 @@ let check (fn : fn) : unit =
       end)
     fn
 
-let check_exn = check
-
 let is_well_formed fn =
   match check fn with () -> true | exception Ill_formed _ -> false
 

@@ -134,10 +134,6 @@ type t = {
   (* optional per-compilation watchdog budget (Support.Fuel checkpoints);
      None: unlimited *)
   compile_fuel : int option;
-  (* installs a produced-but-pending body through the normal install path
-     (code cache + prepared-code invalidation + accounting + telemetry);
-     set when a compiler is configured, used by [flush_pending] *)
-  mutable install_pending : meth_id -> fn -> unit;
   (* --- on-stack replacement (the long-running-loop path) --- *)
   osr : bool;                      (* enter/exit machinery armed *)
   osr_threshold : int;
@@ -273,6 +269,686 @@ let attach_timeline ?monitor (t : t) ~(source : string)
       { tl_sink = sink; tl_source = source; tl_monitor = monitor;
         tl_due = t.vm.cycles }
 
+let meth_name (t : t) (m : meth_id) : string = (Ir.Program.meth t.vm.prog m).m_name
+
+let count (tbl : ('k, int) Hashtbl.t) (k : 'k) : int =
+  match Hashtbl.find_opt tbl k with Some n -> n | None -> 0
+
+(* gates the method's next compilation until its invocation count has
+   moved [distance] past the current one *)
+let gate_recompile (t : t) (m : meth_id) ~(distance : int) : unit =
+  Hashtbl.replace t.cooldown m
+    (Support.Sat.add (Runtime.Profile.invocation_count t.vm.profiles m) distance)
+
+(* OSR: wake running compiled frames at their next loop header (they
+   re-validate against the moved epoch and take the OSR-exit path); a
+   synthetic continuation additionally backs its enter site off so the
+   loop does not thrash re-entering *)
+let bump_deopt_epoch (t : t) (m : meth_id) : unit =
+  if t.osr then begin
+    t.vm.deopt_epoch <- t.vm.deopt_epoch + 1;
+    match Hashtbl.find_opt t.osr_meta m with
+    | Some o ->
+        Hashtbl.replace t.osr_cooldown (o.od_src, o.od_bid)
+          (Support.Sat.add
+             (Runtime.Profile.block_count t.vm.profiles o.od_src o.od_bid)
+             t.osr_threshold)
+    | None -> ()
+  end
+
+(* ---------- install, evict, invalidate ---------- *)
+
+(* bounded-cache retirement: drop a victim's installed code and send it
+   back to the prepared tier through the same deopt-epoch path an
+   invalidation takes. Unlike [invalidate] this is capacity pressure, not
+   a speculation failure — it consumes no [max_recompiles] budget;
+   instead the victim's recompilation gate backs off per eviction, so a
+   method the cache cannot hold converges to the prepared tier instead of
+   churning forever. *)
+let evict (t : t) (v : meth_id) : unit =
+  let vsize =
+    match Hashtbl.find_opt t.code_cache v with
+    | Some fn -> Ir.Fn.size fn
+    | None -> 0
+  in
+  Hashtbl.remove t.code_cache v;
+  Runtime.Interp.invalidate_code t.vm v;
+  (match Hashtbl.find_opt t.miss_counts v with Some r -> r := 0 | None -> ());
+  let evicted = count t.evict_counts v + 1 in
+  Hashtbl.replace t.evict_counts v evicted;
+  gate_recompile t v
+    ~distance:
+      (backoff_cooldown ~hotness:t.config.hotness_threshold ~failures:evicted);
+  t.evictions <- (v, t.vm.cycles) :: t.evictions;
+  Obs.Metrics.incr m_evictions;
+  Runtime.Interp.record_evict t.vm v;
+  (* wake running compiled frames of the victim exactly as an
+     invalidation would: they OSR-exit at their next loop header *)
+  bump_deopt_epoch t v;
+  Obs.Trace.emit "evict" (fun () ->
+      Support.Json.
+        [
+          ("m", Int v);
+          ("meth", String (meth_name t v));
+          ("size", Int vsize);
+          ("evicts", Int evicted);
+        ])
+
+let install (t : t) (m : meth_id) (body : fn) : unit =
+  let size = Ir.Fn.size body in
+  Hashtbl.replace t.code_cache m body;
+  (* the tier for this method changed: drop its prepared code *)
+  Runtime.Interp.invalidate_code t.vm m;
+  (* a fresh body starts with a clean speculation slate: misses recorded
+     against the previous code version must not count toward the new
+     body's invalidation threshold *)
+  Hashtbl.remove t.miss_counts m;
+  t.compilations <- { cm = m; size; at_cycles = t.vm.cycles } :: t.compilations;
+  (* ramp accounting: cycles from the method's first hot-trigger to its
+     first install (covers queue wait and async latency) *)
+  (match Hashtbl.find_opt t.first_hot m with
+  | Some hot_at when not (List.mem_assoc m t.ttp) ->
+      let d = Support.Sat.sub t.vm.cycles hot_at in
+      t.ttp <- (m, d) :: t.ttp;
+      Obs.Metrics.observe m_ttp d
+  | _ -> ());
+  Obs.Metrics.incr m_installs;
+  Obs.Trace.emit "install" (fun () ->
+      Support.Json.
+        [ ("m", Int m); ("meth", String (meth_name t m)); ("size", Int size) ]);
+  (* bounded cache: admit the fresh body, then retire whatever no longer
+     fits (under a tiny budget that can be the fresh body itself — the
+     install/evict pair keeps the trace honest) *)
+  match t.serve_cache with
+  | None -> ()
+  | Some cache ->
+      List.iter (evict t) (Codecache.install cache ~meth:m ~size ~now:t.vm.cycles)
+
+(* installs a pending body once its simulated latency has elapsed *)
+let install_if_ready (t : t) (m : meth_id) : unit =
+  match Hashtbl.find_opt t.pending m with
+  | Some (body, ready_at) when t.vm.cycles >= ready_at ->
+      Hashtbl.remove t.pending m;
+      install t m body
+  | _ -> ()
+[@@inline]
+
+(* drop a method's installed code and send it back to the interpreter to
+   re-profile; shared by the spec-miss path and the chaos invalidation
+   storm *)
+let invalidate (t : t) (m : meth_id) ~(misses : int) ~(recompiled : int) : unit =
+  Hashtbl.remove t.code_cache m;
+  (match t.serve_cache with
+  | Some cache -> Codecache.remove cache m
+  | None -> ());
+  Runtime.Interp.invalidate_code t.vm m;
+  Hashtbl.replace t.recompile_counts m (recompiled + 1);
+  (match Hashtbl.find_opt t.miss_counts m with Some r -> r := 0 | None -> ());
+  gate_recompile t m ~distance:t.config.hotness_threshold;
+  t.invalidations <- (m, t.vm.cycles) :: t.invalidations;
+  Obs.Metrics.incr m_invalidations;
+  Runtime.Interp.record_deopt t.vm m;
+  bump_deopt_epoch t m;
+  Obs.Trace.emit "invalidate" (fun () ->
+      Support.Json.
+        [
+          ("m", Int m);
+          ("meth", String (meth_name t m));
+          ("misses", Int misses);
+          ("recompiles", Int (recompiled + 1));
+        ])
+
+(* ---------- compilation ---------- *)
+
+(* the compiler died on [m]; the method stays interpreted (and keeps
+   profiling). Charge the cycles the dead attempt burned, back off
+   exponentially, and at the failure cap blacklist the method so a
+   deterministic compiler bug stops consuming compile cycles. *)
+let record_bailout (t : t) (m : meth_id) (e : exn) : unit =
+  let reason =
+    match e with
+    | Ir.Verify.Ill_formed msg -> "verify: " ^ msg
+    | Support.Fuel.Exhausted -> "fuel exhausted"
+    | Support.Chaos.Injected f -> "chaos: " ^ Support.Chaos.fault_to_string f
+    | Failure msg -> msg
+    | e -> Printexc.to_string e
+  in
+  let input_size =
+    match (Ir.Program.meth t.vm.prog m).body with
+    | Some fn -> Ir.Fn.size fn
+    | None -> 0
+  in
+  let charged = input_size * t.config.compile_cost_per_node in
+  t.compile_cycles <- t.compile_cycles + charged;
+  let failures = count t.failure_counts m + 1 in
+  Hashtbl.replace t.failure_counts m failures;
+  let blacklisted = failures >= t.max_compile_failures in
+  if blacklisted then Hashtbl.replace t.blacklist m ()
+  else
+    (* exponential backoff: the retry gate doubles with every failure,
+       measured in invocations past the current count (saturating — see
+       [backoff_cooldown]) *)
+    gate_recompile t m
+      ~distance:(backoff_cooldown ~hotness:t.config.hotness_threshold ~failures);
+  t.bailouts <-
+    { bm = m; reason; at_cycles = t.vm.cycles; failures; charged; blacklisted }
+    :: t.bailouts;
+  Obs.Metrics.incr m_bailouts;
+  if blacklisted then Obs.Metrics.incr m_blacklisted;
+  Obs.Trace.emit "compile_bailout" (fun () ->
+      Support.Json.
+        [
+          ("m", Int m);
+          ("meth", String (meth_name t m));
+          ("reason", String reason);
+          ("failures", Int failures);
+          ("charged", Int charged);
+          ("blacklisted", Bool blacklisted);
+        ])
+
+(* a produced body: charge its latency, then install it now or park it
+   until the latency has elapsed on the execution clock *)
+let record_compiled (t : t) (m : meth_id) (body : fn) : unit =
+  let size = Ir.Fn.size body in
+  let latency = size * t.config.compile_cost_per_node in
+  t.compile_cycles <- t.compile_cycles + latency;
+  Obs.Metrics.incr m_compiles;
+  Obs.Metrics.observe m_compile_latency latency;
+  Obs.Trace.emit "compile_done" (fun () ->
+      Support.Json.
+        [
+          ("m", Int m);
+          ("meth", String (meth_name t m));
+          ("size", Int size);
+          ("latency", Int latency);
+          ("async", Bool t.async_compile);
+        ]);
+  if t.async_compile then begin
+    let ready_at = Support.Sat.add t.vm.cycles latency in
+    Hashtbl.replace t.pending m (body, ready_at);
+    Obs.Metrics.incr m_pending_installs;
+    Obs.Trace.emit "pending_install" (fun () ->
+        Support.Json.
+          [
+            ("m", Int m);
+            ("meth", String (meth_name t m));
+            ("size", Int size);
+            ("ready_at", Int ready_at);
+          ])
+  end
+  else install t m body
+
+(* The one seam where compilation happens, shared by the
+   invocation-hotness trigger, the serve queue and the OSR machinery
+   (which compiles the extracted loop continuations through exactly the
+   same chaos / fuel / bailout / blacklist path). *)
+let compile_now (t : t) (m : meth_id) : unit =
+  match t.config.compiler with
+  | None -> ()
+  | Some compiler ->
+      t.compiling <- true;
+      Fun.protect
+        ~finally:(fun () -> t.compiling <- false)
+        (fun () ->
+          Obs.Trace.emit "compile_start" (fun () ->
+              Support.Json.
+                [
+                  ("m", Int m);
+                  ("meth", String (meth_name t m));
+                  ( "invocations",
+                    Int (Runtime.Profile.invocation_count t.vm.profiles m) );
+                ]);
+          (* chaos: decide this attempt's injected faults up front — a
+             starved watchdog budget, a compiler crash before any work, or
+             a verifier reject of the finished body. All three surface as
+             contained exceptions on the bailout path. *)
+          let inject fault =
+            Obs.Trace.emit "chaos" (fun () ->
+                Support.Json.
+                  [
+                    ("fault", String (Support.Chaos.fault_to_string fault));
+                    ("m", Int m);
+                    ("meth", String (meth_name t m));
+                  ]);
+            raise (Support.Chaos.Injected fault)
+          in
+          let fuel =
+            if Support.Chaos.(roll Fuel_exhaustion) then
+              Some (Support.Chaos.starved_fuel ())
+            else
+              (* the serve deadline caps every attempt; an explicit fuel
+                 budget can only tighten it further. A deadline miss is a
+                 normal bailout: charged, backed off, eventually
+                 blacklisted. *)
+              match (t.compile_fuel, t.compile_deadline) with
+              | None, d -> d
+              | f, None -> f
+              | Some f, Some d -> Some (min f d)
+          in
+          let attempt () =
+            if Support.Chaos.(roll Compiler_crash) then
+              inject Support.Chaos.Compiler_crash;
+            let body = compiler t.vm.prog t.vm.profiles m in
+            if Support.Chaos.(roll Verifier_reject) then
+              inject Support.Chaos.Verifier_reject;
+            if t.config.verify then Ir.Verify.check body;
+            body
+          in
+          match
+            match fuel with
+            | None -> attempt ()
+            | Some n -> Support.Fuel.with_budget n attempt
+          with
+          | exception e when containable e -> record_bailout t m e
+          | body -> record_compiled t m body)
+
+(* every serviced compilation occupies the one background compiler for
+   the compile cycles it charged — OSR continuation compiles bypass queue
+   admission (the transfer decision is synchronous) but still occupy that
+   compiler, so a loop promotion delays queued work exactly as it would
+   on a real thread *)
+let compile_occupying (t : t) (m : meth_id) : unit =
+  let before = t.compile_cycles in
+  compile_now t m;
+  match t.serve_queue with
+  | Some q ->
+      Scheduler.occupy q
+        ~until:(Support.Sat.add t.vm.cycles (t.compile_cycles - before))
+  | None -> ()
+
+(* ---------- on-stack replacement policy ---------- *)
+
+let max_osr_depth = 3
+
+(* loop forests per (method, physical body): a method has at most a
+   handful of live bodies (interpreted, installed, stale) *)
+let loops_for (t : t) (m : meth_id) (body : fn) : Ir.Loops.t =
+  let cached = try Hashtbl.find t.loop_cache m with Not_found -> [] in
+  match List.find_opt (fun (f, _) -> f == body) cached with
+  | Some (_, li) -> li
+  | None ->
+      let li = Ir.Loops.compute body in
+      Hashtbl.replace t.loop_cache m
+        ((body, li) :: List.filteri (fun i _ -> i < 3) cached);
+      li
+
+let is_loop_header (t : t) (m : meth_id) (body : fn) (b : bid) : bool =
+  Ir.Loops.is_header (loops_for t m body) b
+
+let osr_depth (t : t) (m : meth_id) : int =
+  match Hashtbl.find_opt t.osr_meta m with Some o -> o.od_depth | None -> 0
+
+(* the loop continuation of [body] at header [b], verified; [None] when
+   it cannot be extracted *)
+let extract (body : fn) (b : bid) : Ir.Osr.extraction option =
+  match
+    let x = Ir.Osr.extract_loop body ~header:b in
+    Ir.Verify.check x.Ir.Osr.x_fn;
+    x
+  with
+  | exception e when containable e -> None
+  | x -> Some x
+
+(* registers an extracted continuation as a first-class method of the
+   program — compiled, profiled, invalidated and blacklisted by the very
+   same machinery as source methods — and seeds its block profile from
+   the source's, so the inliner sees the loop as hot as it really is *)
+let register_extraction (t : t) ~(src_m : meth_id) ~(header : bid)
+    ~(depth : int) ~(kind : string) (x : Ir.Osr.extraction) :
+    Runtime.Interp.osr_transfer =
+  let prog = t.vm.prog in
+  t.osr_uid <- t.osr_uid + 1;
+  let name =
+    Printf.sprintf "%s@%s%d.b%d" (meth_name t src_m) kind t.osr_uid header
+  in
+  let om =
+    Ir.Program.add_meth prog ~name ~selector:name ~owner:None
+      ~param_tys:x.Ir.Osr.x_fn.param_tys ~rty:x.Ir.Osr.x_fn.rty
+  in
+  Ir.Program.set_body prog om x.Ir.Osr.x_fn;
+  Ir.Fn.iter_blocks
+    (fun b ->
+      let n = Runtime.Profile.block_count t.vm.profiles src_m b.b_id in
+      if n > 0 then begin
+        let c = Runtime.Profile.block_cell t.vm.profiles om b.b_id in
+        c := !c + n
+      end)
+    x.Ir.Osr.x_fn;
+  Hashtbl.replace t.osr_meta om
+    { od_src = src_m; od_bid = header; od_depth = depth };
+  (* the continuation inherits its parent's failure budget: a method that
+     is backing off or blacklisted must not get a fresh budget by way of
+     extraction — before this, a blacklisted method could keep burning
+     compile fuel through its synthetic continuations *)
+  (match Hashtbl.find_opt t.failure_counts src_m with
+  | Some n -> Hashtbl.replace t.failure_counts om n
+  | None -> ());
+  if Hashtbl.mem t.blacklist src_m then Hashtbl.replace t.blacklist om ();
+  { osr_target = om; osr_live_ins = x.Ir.Osr.x_live_ins; osr_phis = x.Ir.Osr.x_phis }
+
+let refuse (t : t) (key : meth_id * bid) : Runtime.Interp.osr_verdict =
+  Hashtbl.replace t.osr_no key ();
+  Osr_no
+
+let below_cooldown (t : t) ((m, b) as key : meth_id * bid) : bool =
+  match Hashtbl.find_opt t.osr_cooldown key with
+  | Some gate -> Runtime.Profile.block_count t.vm.profiles m b < gate
+  | None -> false
+
+let enter_transfer (t : t) ((m, b) : meth_id * bid)
+    (tr : Runtime.Interp.osr_transfer) : Runtime.Interp.osr_verdict =
+  let om = tr.osr_target in
+  t.osr_enters <- t.osr_enters + 1;
+  Obs.Metrics.incr m_osr_enters;
+  Obs.Trace.emit "osr_enter" (fun () ->
+      Support.Json.
+        [
+          ("m", Int m);
+          ("meth", String (meth_name t m));
+          ("header", Int b);
+          ("count", Int (Runtime.Profile.block_count t.vm.profiles m b));
+          ("osr_m", Int om);
+          ("osr_meth", String (meth_name t om));
+        ]);
+  Osr_enter tr
+
+(* compile the continuation and enter it; a failed compile backs the
+   site off in block counts, doubling with the continuation's failure
+   count *)
+let compile_and_enter (t : t) ((m, b) as key : meth_id * bid)
+    (tr : Runtime.Interp.osr_transfer) : Runtime.Interp.osr_verdict =
+  let om = tr.osr_target in
+  compile_occupying t om;
+  if Hashtbl.mem t.code_cache om then enter_transfer t key tr
+  else begin
+    let failures =
+      match Hashtbl.find_opt t.failure_counts om with Some n -> n | None -> 1
+    in
+    Hashtbl.replace t.osr_cooldown key
+      (Support.Sat.add
+         (Runtime.Profile.block_count t.vm.profiles m b)
+         (backoff_cooldown ~hotness:t.osr_threshold ~failures));
+    Osr_wait
+  end
+
+(* an interpreted frame crossed [osr_threshold] at block [b] of method
+   [m]: extract-and-compile the loop continuation (once per site), then
+   hand the transfer back. Every refusal is memoized — backend
+   checkpoints stop consulting us — and every failure degrades to
+   Osr_wait/Osr_no: the frame simply keeps interpreting. *)
+let on_osr (t : t) (m : meth_id) (b : bid) : Runtime.Interp.osr_verdict =
+  let key = (m, b) in
+  if t.compiling then Osr_wait
+  else if Hashtbl.mem t.osr_no key then Osr_no
+  else
+    match (Ir.Program.meth t.vm.prog m).body with
+    | None -> refuse t key
+    | Some body -> (
+        if not (is_loop_header t m body b) then refuse t key
+        else
+          match Hashtbl.find_opt t.osr_sites key with
+          | Some tr ->
+              let om = tr.osr_target in
+              (* async: a continuation produced earlier installs once its
+                 simulated latency elapsed *)
+              install_if_ready t om;
+              if Hashtbl.mem t.code_cache om then enter_transfer t key tr
+              else if Hashtbl.mem t.pending om then Osr_wait
+              else if Hashtbl.mem t.blacklist om then refuse t key
+              else if count t.recompile_counts om >= t.max_recompiles then
+                refuse t key
+              else if below_cooldown t key then Osr_wait
+              else compile_and_enter t key tr
+          | None -> (
+              let depth = osr_depth t m in
+              if depth >= max_osr_depth then refuse t key
+              else if below_cooldown t key then Osr_wait
+              else
+                match extract body b with
+                | None -> refuse t key
+                | Some x ->
+                    let tr =
+                      register_extraction t ~src_m:m ~header:b
+                        ~depth:(depth + 1) ~kind:"osr" x
+                    in
+                    Hashtbl.replace t.osr_sites key tr;
+                    (* the inherited budget can already be spent: a
+                       blacklisted parent's continuation never compiles
+                       at all *)
+                    if Hashtbl.mem t.blacklist tr.osr_target then refuse t key
+                    else compile_and_enter t key tr))
+
+let exit_to (t : t) (m : meth_id) (b : bid) (tr : Runtime.Interp.osr_transfer) :
+    Runtime.Interp.osr_exit_verdict =
+  t.osr_exits <- t.osr_exits + 1;
+  Obs.Metrics.incr m_osr_exits;
+  Obs.Trace.emit "osr_exit" (fun () ->
+      Support.Json.
+        [
+          ("m", Int m);
+          ("meth", String (meth_name t m));
+          ("header", Int b);
+          ("reason", String "invalidate");
+          ("osr_m", Int tr.osr_target);
+        ]);
+  Exit_to tr
+
+(* a compiled frame saw the deopt epoch move at block [b]: if its code
+   object is still the installed one, re-snapshot and keep going; if it
+   is stale, transfer out into a freshly extracted *interpreted*
+   continuation at the next loop header. Extraction failures memoize to
+   Exit_stay — stale code is still correct code, it just stops being
+   preferred. *)
+let on_osr_exit (t : t) (m : meth_id) (src : fn) (b : bid) :
+    Runtime.Interp.osr_exit_verdict =
+  match Hashtbl.find_opt t.code_cache m with
+  | Some cur when cur == src -> Exit_stay
+  | _ -> (
+      if not (is_loop_header t m src b) then Exit_watch
+      else
+        let key = (m, b) in
+        let conts = try Hashtbl.find t.exit_conts key with Not_found -> [] in
+        match List.find_opt (fun (f, _) -> f == src) conts with
+        | Some (_, Some tr) -> exit_to t m b tr
+        | Some (_, None) -> Exit_stay
+        | None -> (
+            let depth = osr_depth t m in
+            let cont =
+              if depth >= max_osr_depth then None
+              else
+                Option.map
+                  (register_extraction t ~src_m:m ~header:b ~depth:(depth + 1)
+                     ~kind:"deopt")
+                  (extract src b)
+            in
+            Hashtbl.replace t.exit_conts key ((src, cont) :: conts);
+            match cont with Some tr -> exit_to t m b tr | None -> Exit_stay))
+
+(* a trap is unwinding out of an entered continuation: record the
+   OSR-exit (the trap itself propagates unchanged — output parity with
+   the no-OSR run is the exactness invariant) *)
+let on_osr_abort (t : t) (om : meth_id) : unit =
+  let src, b =
+    match Hashtbl.find_opt t.osr_meta om with
+    | Some o -> (o.od_src, o.od_bid)
+    | None -> (om, -1)
+  in
+  t.osr_exits <- t.osr_exits + 1;
+  Obs.Metrics.incr m_osr_exits;
+  Obs.Trace.emit "osr_exit" (fun () ->
+      Support.Json.
+        [
+          ("m", Int src);
+          ("meth", String (meth_name t src));
+          ("header", Int b);
+          ("reason", String "trap");
+          ("osr_m", Int om);
+        ])
+
+(* ---------- method-entry hooks ---------- *)
+
+(* serve mode: pump the background compiler — when it is idle and a
+   request is waiting, service the highest-priority one. Requests that
+   went stale while queued (installed via OSR, blacklisted, already
+   pending) drop without occupying it. *)
+let rec service_queue (t : t) (q : meth_id Scheduler.t) : unit =
+  match Scheduler.pop q ~now:t.vm.cycles with
+  | None -> ()
+  | Some (qm, wait) ->
+      if
+        Hashtbl.mem t.code_cache qm
+        || Hashtbl.mem t.pending qm
+        || Hashtbl.mem t.blacklist qm
+      then service_queue t q
+      else begin
+        t.queue_waits <- wait :: t.queue_waits;
+        Obs.Metrics.observe m_queue_wait wait;
+        Obs.Trace.emit "serve_dequeue" (fun () ->
+            Support.Json.
+              [
+                ("m", Int qm);
+                ("meth", String (meth_name t qm));
+                ("wait", Int wait);
+                ("depth", Int (Scheduler.length q));
+              ]);
+        compile_occupying t qm
+      end
+
+(* serve mode: hot methods request compilation instead of compiling
+   inline; admission control may shed the request (or a cheaper waiting
+   one), in which case the method keeps interpreting and retries on later
+   entries with ever-growing hotness *)
+let request_compile (t : t) (q : meth_id Scheduler.t) (m : meth_id) : unit =
+  if not (Scheduler.mem q m) then begin
+    let hotness =
+      let inv = Runtime.Profile.invocation_count t.vm.profiles m + 1 in
+      let backedge =
+        if t.osr_threshold < max_int then
+          Runtime.Profile.max_block_count t.vm.profiles m / 64
+        else 0
+      in
+      max inv backedge
+    in
+    let shed v reason =
+      t.sheds <- t.sheds + 1;
+      Obs.Metrics.incr m_sheds;
+      Obs.Trace.emit "shed" (fun () ->
+          Support.Json.
+            [
+              ("m", Int v);
+              ("meth", String (meth_name t v));
+              ("reason", String reason);
+              ("depth", Int (Scheduler.length q));
+            ])
+    in
+    let admitted () =
+      Obs.Metrics.incr m_enqueues;
+      Obs.Trace.emit "serve_enqueue" (fun () ->
+          Support.Json.
+            [
+              ("m", Int m);
+              ("meth", String (meth_name t m));
+              ("hotness", Int hotness);
+              ("depth", Int (Scheduler.length q));
+            ])
+    in
+    match Scheduler.enqueue q ~meth:m ~hotness ~now:t.vm.cycles with
+    | Scheduler.Bumped -> ()
+    | Scheduler.Admitted -> admitted ()
+    | Scheduler.Displaced v ->
+        shed v "displaced";
+        admitted ()
+    | Scheduler.Rejected -> shed m "rejected"
+  end
+
+(* chaos (called only while a plan is ambient): an invalidation storm
+   throws away installed code, as a burst of spec misses would. Bounded
+   by [max_recompiles] like real invalidations, so the engine still
+   converges under rate=1.0 — after the cap the code stays installed. *)
+let chaos_storm (t : t) (m : meth_id) : unit =
+  if (not t.compiling) && Hashtbl.mem t.code_cache m then
+    let recompiled = count t.recompile_counts m in
+    if
+      recompiled < t.max_recompiles && Support.Chaos.(roll Invalidation_storm)
+    then begin
+      Obs.Trace.emit "chaos" (fun () ->
+          Support.Json.
+            [
+              ("fault", String Support.Chaos.(fault_to_string Invalidation_storm));
+              ("m", Int m);
+              ("meth", String (meth_name t m));
+            ]);
+      invalidate t m ~misses:0 ~recompiled
+    end
+
+(* whether [m] should be compiled now: not already compiled, pending or
+   blacklisted, and hot by invocation count or — backedge-driven hotness,
+   closing the single-invocation blind spot — by a loop that crossed the
+   OSR bar, past any recompilation cooldown *)
+let is_hot (t : t) (m : meth_id) : bool =
+  (not t.compiling)
+  && (not (Hashtbl.mem t.code_cache m))
+  && (not (Hashtbl.mem t.pending m))
+  && (not (Hashtbl.mem t.blacklist m))
+  && (Ir.Program.meth t.vm.prog m).body <> None
+  &&
+  let invocations = Runtime.Profile.invocation_count t.vm.profiles m in
+  (invocations + 1 >= t.config.hotness_threshold
+  || (t.osr_threshold < max_int
+     && Runtime.Profile.max_block_count t.vm.profiles m >= t.osr_threshold))
+  && invocations + 1 >= count t.cooldown m
+[@@inline]
+
+(* [on_entry] runs at every method invocation and [on_spec_miss] at
+   every typeswitch fallback, so they and the checks [on_entry] makes on
+   every call are inlined into the hooks; the rare paths stay calls *)
+let on_entry (t : t) (m : meth_id) : unit =
+  (* time-series sampling: one [None] match while detached *)
+  sample_timeline t;
+  (match t.serve_queue with
+  | Some q when not t.compiling -> service_queue t q
+  | _ -> ());
+  (* background compilations whose latency has elapsed install at the
+     next entry of their method *)
+  install_if_ready t m;
+  (* bounded cache: every entry of a resident method refreshes its
+     retention (the LRU term of the eviction score) *)
+  (match t.serve_cache with
+  | Some cache when Hashtbl.mem t.code_cache m ->
+      Codecache.touch cache m ~now:t.vm.cycles
+  | _ -> ());
+  if Support.Chaos.enabled () then chaos_storm t m;
+  if is_hot t m then begin
+    if not (Hashtbl.mem t.first_hot m) then
+      Hashtbl.replace t.first_hot m t.vm.cycles;
+    match t.serve_queue with
+    | None -> compile_now t m
+    | Some q -> request_compile t q m
+  end
+[@@inline]
+
+(* compiled code reached a typeswitch's residual virtual call: past the
+   miss threshold, drop the code, let the interpreter re-profile the
+   shifted receiver distribution, and recompile later *)
+let on_spec_miss (t : t) (m : meth_id) : unit =
+  if t.spec_miss_threshold < max_int && Hashtbl.mem t.code_cache m then begin
+    let r =
+      match Hashtbl.find_opt t.miss_counts m with
+      | Some r -> r
+      | None ->
+          let r = ref 0 in
+          Hashtbl.replace t.miss_counts m r;
+          r
+    in
+    incr r;
+    let recompiled = count t.recompile_counts m in
+    if !r >= t.spec_miss_threshold && recompiled < t.max_recompiles then
+      invalidate t m ~misses:!r ~recompiled
+  end
+[@@inline]
+
+(* Builds the engine record and points the VM's hooks at the functions
+   above. Without a compiler the hooks keep the VM's no-op defaults. *)
 let create ?(cost = Runtime.Cost.default) ?(spec_miss_threshold = max_int)
     ?(max_recompiles = 2) ?(async_compile = false) ?(max_compile_failures = 3)
     ?compile_fuel ?(osr = true) ?osr_threshold ?queue_capacity
@@ -296,7 +972,6 @@ let create ?(cost = Runtime.Cost.default) ?(spec_miss_threshold = max_int)
       cooldown = Hashtbl.create 8; invalidations = []; bailouts = [];
       max_compile_failures; failure_counts = Hashtbl.create 8;
       blacklist = Hashtbl.create 8; compile_fuel;
-      install_pending = (fun _ _ -> ());
       osr = osr && config.compiler <> None && osr_threshold < max_int;
       osr_threshold;
       osr_sites = Hashtbl.create 8; osr_meta = Hashtbl.create 8;
@@ -322,716 +997,18 @@ let create ?(cost = Runtime.Cost.default) ?(spec_miss_threshold = max_int)
   (* stamp the ambient trace sink (if any) with this engine's simulated
      clock; a no-op with tracing disabled *)
   Obs.Trace.set_clock (fun () -> vm.cycles);
-  (match config.compiler with
-  | None -> ()
-  | Some compiler ->
-      let meth_name m = (Ir.Program.meth prog m).m_name in
-      (* bounded-cache retirement: drop a victim's installed code and send
-         it back to the prepared tier through the same deopt-epoch path an
-         invalidation takes. Unlike [invalidate] below this is capacity
-         pressure, not a speculation failure — it consumes no
-         [max_recompiles] budget; instead the victim's recompilation gate
-         backs off per eviction, so a method the cache cannot hold
-         converges to the prepared tier instead of churning forever. *)
-      let evict v =
-        let vsize =
-          match Hashtbl.find_opt t.code_cache v with
-          | Some fn -> Ir.Fn.size fn
-          | None -> 0
-        in
-        Hashtbl.remove t.code_cache v;
-        Runtime.Interp.invalidate_code vm v;
-        (match Hashtbl.find_opt t.miss_counts v with Some r -> r := 0 | None -> ());
-        let evicted =
-          (match Hashtbl.find_opt t.evict_counts v with Some n -> n | None -> 0) + 1
-        in
-        Hashtbl.replace t.evict_counts v evicted;
-        Hashtbl.replace t.cooldown v
-          (Support.Sat.add
-             (Runtime.Profile.invocation_count vm.profiles v)
-             (backoff_cooldown ~hotness:config.hotness_threshold ~failures:evicted));
-        t.evictions <- (v, vm.cycles) :: t.evictions;
-        Obs.Metrics.incr m_evictions;
-        Runtime.Interp.record_evict vm v;
-        (* wake running compiled frames of the victim exactly as an
-           invalidation would: they OSR-exit at their next loop header *)
-        if t.osr then begin
-          vm.deopt_epoch <- vm.deopt_epoch + 1;
-          match Hashtbl.find_opt t.osr_meta v with
-          | Some o ->
-              Hashtbl.replace t.osr_cooldown (o.od_src, o.od_bid)
-                (Support.Sat.add
-                   (Runtime.Profile.block_count vm.profiles o.od_src o.od_bid)
-                   t.osr_threshold)
-          | None -> ()
-        end;
-        Obs.Trace.emit "evict" (fun () ->
-            Support.Json.
-              [
-                ("m", Int v);
-                ("meth", String (meth_name v));
-                ("size", Int vsize);
-                ("evicts", Int evicted);
-              ])
-      in
-      let install m body size =
-        Hashtbl.replace t.code_cache m body;
-        (* the tier for this method changed: drop its prepared code *)
-        Runtime.Interp.invalidate_code vm m;
-        (* a fresh body starts with a clean speculation slate: misses
-           recorded against the previous code version must not count
-           toward the new body's invalidation threshold *)
-        Hashtbl.remove t.miss_counts m;
-        t.compilations <- { cm = m; size; at_cycles = vm.cycles } :: t.compilations;
-        (* ramp accounting: cycles from the method's first hot-trigger to
-           its first install (covers queue wait and async latency) *)
-        (match Hashtbl.find_opt t.first_hot m with
-        | Some hot_at when not (List.mem_assoc m t.ttp) ->
-            let d = Support.Sat.sub vm.cycles hot_at in
-            t.ttp <- (m, d) :: t.ttp;
-            Obs.Metrics.observe m_ttp d
-        | _ -> ());
-        Obs.Metrics.incr m_installs;
-        Obs.Trace.emit "install" (fun () ->
-            Support.Json.
-              [ ("m", Int m); ("meth", String (meth_name m)); ("size", Int size) ]);
-        (* bounded cache: admit the fresh body, then retire whatever no
-           longer fits (under a tiny budget that can be the fresh body
-           itself — the install/evict pair keeps the trace honest) *)
-        match t.serve_cache with
-        | None -> ()
-        | Some cache ->
-            List.iter evict (Codecache.install cache ~meth:m ~size ~now:vm.cycles)
-      in
-      t.install_pending <- (fun m body -> install m body (Ir.Fn.size body));
-      (* drop a method's installed code and send it back to the
-         interpreter to re-profile; shared by the spec-miss path and the
-         chaos invalidation storm *)
-      let invalidate m ~misses ~recompiled =
-        Hashtbl.remove t.code_cache m;
-        (match t.serve_cache with
-        | Some cache -> Codecache.remove cache m
-        | None -> ());
-        Runtime.Interp.invalidate_code vm m;
-        Hashtbl.replace t.recompile_counts m (recompiled + 1);
-        (match Hashtbl.find_opt t.miss_counts m with Some r -> r := 0 | None -> ());
-        Hashtbl.replace t.cooldown m
-          (Support.Sat.add
-             (Runtime.Profile.invocation_count vm.profiles m)
-             config.hotness_threshold);
-        t.invalidations <- (m, vm.cycles) :: t.invalidations;
-        Obs.Metrics.incr m_invalidations;
-        Runtime.Interp.record_deopt vm m;
-        (* OSR: wake running compiled frames of this method at their next
-           loop header (they re-validate against the moved epoch and take
-           the OSR-exit path); a synthetic continuation additionally backs
-           its enter site off so the loop does not thrash re-entering *)
-        if t.osr then begin
-          vm.deopt_epoch <- vm.deopt_epoch + 1;
-          match Hashtbl.find_opt t.osr_meta m with
-          | Some o ->
-              Hashtbl.replace t.osr_cooldown (o.od_src, o.od_bid)
-                (Support.Sat.add
-                   (Runtime.Profile.block_count vm.profiles o.od_src o.od_bid)
-                   t.osr_threshold)
-          | None -> ()
-        end;
-        Obs.Trace.emit "invalidate" (fun () ->
-            Support.Json.
-              [
-                ("m", Int m);
-                ("meth", String (meth_name m));
-                ("misses", Int misses);
-                ("recompiles", Int (recompiled + 1));
-              ])
-      in
-      (* the compile pipeline, shared by the invocation-hotness trigger
-         below and the OSR machinery (which compiles the extracted loop
-         continuations through exactly the same chaos / fuel / bailout /
-         blacklist path) *)
-      let compile_now (m : meth_id) : unit =
-          begin
-            t.compiling <- true;
-            Fun.protect
-              ~finally:(fun () -> t.compiling <- false)
-              (fun () ->
-                Obs.Trace.emit "compile_start" (fun () ->
-                    Support.Json.
-                      [
-                        ("m", Int m);
-                        ("meth", String (meth_name m));
-                        ( "invocations",
-                          Int (Runtime.Profile.invocation_count vm.profiles m) );
-                      ]);
-                (* chaos: decide this attempt's injected faults up front —
-                   a starved watchdog budget, a compiler crash before any
-                   work, or a verifier reject of the finished body. All
-                   three surface as contained exceptions on the bailout
-                   path below. *)
-                let inject fault =
-                  Obs.Trace.emit "chaos" (fun () ->
-                      Support.Json.
-                        [
-                          ("fault", String (Support.Chaos.fault_to_string fault));
-                          ("m", Int m);
-                          ("meth", String (meth_name m));
-                        ]);
-                  raise (Support.Chaos.Injected fault)
-                in
-                let fuel =
-                  if Support.Chaos.(roll Fuel_exhaustion) then
-                    Some (Support.Chaos.starved_fuel ())
-                  else
-                    (* the serve deadline caps every attempt; an explicit
-                       fuel budget can only tighten it further. A deadline
-                       miss is a normal bailout: charged, backed off,
-                       eventually blacklisted. *)
-                    match (t.compile_fuel, t.compile_deadline) with
-                    | None, d -> d
-                    | f, None -> f
-                    | Some f, Some d -> Some (min f d)
-                in
-                let attempt () =
-                  if Support.Chaos.(roll Compiler_crash) then
-                    inject Support.Chaos.Compiler_crash;
-                  let body = compiler prog vm.profiles m in
-                  if Support.Chaos.(roll Verifier_reject) then
-                    inject Support.Chaos.Verifier_reject;
-                  if config.verify then Ir.Verify.check body;
-                  body
-                in
-                match
-                  match fuel with
-                  | None -> attempt ()
-                  | Some n -> Support.Fuel.with_budget n attempt
-                with
-                | exception e when containable e ->
-                    (* the compilation died; the method stays interpreted
-                       (and keeps profiling). Charge the cycles the dead
-                       attempt burned, back off exponentially, and at the
-                       failure cap blacklist the method so a deterministic
-                       compiler bug stops consuming compile cycles. *)
-                    let reason =
-                      match e with
-                      | Ir.Verify.Ill_formed msg -> "verify: " ^ msg
-                      | Support.Fuel.Exhausted -> "fuel exhausted"
-                      | Support.Chaos.Injected f ->
-                          "chaos: " ^ Support.Chaos.fault_to_string f
-                      | Failure msg -> msg
-                      | e -> Printexc.to_string e
-                    in
-                    let input_size =
-                      match (Ir.Program.meth prog m).body with
-                      | Some fn -> Ir.Fn.size fn
-                      | None -> 0
-                    in
-                    let charged = input_size * config.compile_cost_per_node in
-                    t.compile_cycles <- t.compile_cycles + charged;
-                    let failures =
-                      (match Hashtbl.find_opt t.failure_counts m with
-                      | Some n -> n
-                      | None -> 0)
-                      + 1
-                    in
-                    Hashtbl.replace t.failure_counts m failures;
-                    let blacklisted = failures >= t.max_compile_failures in
-                    if blacklisted then Hashtbl.replace t.blacklist m ()
-                    else
-                      (* exponential backoff: the retry gate doubles with
-                         every failure, measured in invocations past the
-                         current count (saturating — see
-                         [backoff_cooldown]) *)
-                      Hashtbl.replace t.cooldown m
-                        (Support.Sat.add
-                           (Runtime.Profile.invocation_count vm.profiles m)
-                           (backoff_cooldown ~hotness:config.hotness_threshold
-                              ~failures));
-                    t.bailouts <-
-                      { bm = m; reason; at_cycles = vm.cycles; failures; charged;
-                        blacklisted }
-                      :: t.bailouts;
-                    Obs.Metrics.incr m_bailouts;
-                    if blacklisted then Obs.Metrics.incr m_blacklisted;
-                    Obs.Trace.emit "compile_bailout" (fun () ->
-                        Support.Json.
-                          [
-                            ("m", Int m);
-                            ("meth", String (meth_name m));
-                            ("reason", String reason);
-                            ("failures", Int failures);
-                            ("charged", Int charged);
-                            ("blacklisted", Bool blacklisted);
-                          ])
-                | body ->
-                let size = Ir.Fn.size body in
-                let latency = size * config.compile_cost_per_node in
-                t.compile_cycles <- t.compile_cycles + latency;
-                Obs.Metrics.incr m_compiles;
-                Obs.Metrics.observe m_compile_latency latency;
-                Obs.Trace.emit "compile_done" (fun () ->
-                    Support.Json.
-                      [
-                        ("m", Int m);
-                        ("meth", String (meth_name m));
-                        ("size", Int size);
-                        ("latency", Int latency);
-                        ("async", Bool t.async_compile);
-                      ]);
-                if t.async_compile then begin
-                  let ready_at = Support.Sat.add vm.cycles latency in
-                  Hashtbl.replace t.pending m (body, ready_at);
-                  Obs.Metrics.incr m_pending_installs;
-                  Obs.Trace.emit "pending_install" (fun () ->
-                      Support.Json.
-                        [
-                          ("m", Int m);
-                          ("meth", String (meth_name m));
-                          ("size", Int size);
-                          ("ready_at", Int ready_at);
-                        ])
-                end
-                else install m body size)
-          end
-      in
-      (* every serviced compilation occupies the one background compiler
-         for the compile cycles it charged — OSR continuation compiles
-         below bypass queue admission (the transfer decision is
-         synchronous) but still occupy that compiler, so a loop promotion
-         delays queued work exactly as it would on a real thread *)
-      let compile_occupying m =
-        let before = t.compile_cycles in
-        compile_now m;
-        match t.serve_queue with
-        | Some q ->
-            Scheduler.occupy q
-              ~until:(Support.Sat.add vm.cycles (t.compile_cycles - before))
-        | None -> ()
-      in
-      (* ---------- on-stack replacement ---------- *)
-      let open Runtime.Interp in
-      let max_osr_depth = 3 in
-      (* loop forests per (method, physical body): a method has at most a
-         handful of live bodies (interpreted, installed, stale) *)
-      let loops_for (m : meth_id) (body : fn) : Ir.Loops.t =
-        let cached = try Hashtbl.find t.loop_cache m with Not_found -> [] in
-        match List.find_opt (fun (f, _) -> f == body) cached with
-        | Some (_, li) -> li
-        | None ->
-            let li = Ir.Loops.compute body in
-            Hashtbl.replace t.loop_cache m
-              ((body, li) :: List.filteri (fun i _ -> i < 3) cached);
-            li
-      in
-      (* registers an extracted continuation as a first-class method of
-         the program — compiled, profiled, invalidated and blacklisted by
-         the very same machinery as source methods — and seeds its block
-         profile from the source's, so the inliner sees the loop as hot
-         as it really is *)
-      let register_extraction ~(src_m : meth_id) ~(header : bid)
-          ~(depth : int) ~(kind : string) (x : Ir.Osr.extraction) :
-          meth_id * osr_transfer =
-        t.osr_uid <- t.osr_uid + 1;
-        let name =
-          Printf.sprintf "%s@%s%d.b%d" (meth_name src_m) kind t.osr_uid header
-        in
-        let om =
-          Ir.Program.add_meth prog ~name ~selector:name ~owner:None
-            ~param_tys:x.Ir.Osr.x_fn.param_tys ~rty:x.Ir.Osr.x_fn.rty
-        in
-        Ir.Program.set_body prog om x.Ir.Osr.x_fn;
-        Ir.Fn.iter_blocks
-          (fun b ->
-            let n = Runtime.Profile.block_count vm.profiles src_m b.b_id in
-            if n > 0 then begin
-              let c = Runtime.Profile.block_cell vm.profiles om b.b_id in
-              c := !c + n
-            end)
-          x.Ir.Osr.x_fn;
-        Hashtbl.replace t.osr_meta om
-          { od_src = src_m; od_bid = header; od_depth = depth };
-        (* the continuation inherits its parent's failure budget: a method
-           that is backing off or blacklisted must not get a fresh budget
-           by way of extraction — before this, a blacklisted method could
-           keep burning compile fuel through its synthetic continuations *)
-        (match Hashtbl.find_opt t.failure_counts src_m with
-        | Some n -> Hashtbl.replace t.failure_counts om n
-        | None -> ());
-        if Hashtbl.mem t.blacklist src_m then Hashtbl.replace t.blacklist om ();
-        ( om,
-          { osr_target = om;
-            osr_live_ins = x.Ir.Osr.x_live_ins;
-            osr_phis = x.Ir.Osr.x_phis } )
-      in
-      let refuse key =
-        Hashtbl.replace t.osr_no key ();
-        Osr_no
-      in
-      let below_cooldown key m b =
-        match Hashtbl.find_opt t.osr_cooldown key with
-        | Some gate -> Runtime.Profile.block_count vm.profiles m b < gate
-        | None -> false
-      in
-      (* a failed continuation compile backs the site off in block counts,
-         doubling with the continuation's failure count *)
-      let arm_cooldown key m b om =
-        let failures =
-          match Hashtbl.find_opt t.failure_counts om with Some n -> n | None -> 1
-        in
-        Hashtbl.replace t.osr_cooldown key
-          (Support.Sat.add
-             (Runtime.Profile.block_count vm.profiles m b)
-             (backoff_cooldown ~hotness:t.osr_threshold ~failures))
-      in
-      let enter (m, b) (tr : osr_transfer) =
-        let om = tr.osr_target in
-        t.osr_enters <- t.osr_enters + 1;
-        Obs.Metrics.incr m_osr_enters;
-        Obs.Trace.emit "osr_enter" (fun () ->
-            Support.Json.
-              [
-                ("m", Int m);
-                ("meth", String (meth_name m));
-                ("header", Int b);
-                ("count", Int (Runtime.Profile.block_count vm.profiles m b));
-                ("osr_m", Int om);
-                ("osr_meth", String (meth_name om));
-              ]);
-        Osr_enter tr
-      in
-      (* an interpreted frame crossed [osr_threshold] at block [b] of
-         method [m]: extract-and-compile the loop continuation (once per
-         site), then hand the transfer back. Every refusal is memoized —
-         backend checkpoints stop consulting us — and every failure
-         degrades to Osr_wait/Osr_no: the frame simply keeps
-         interpreting. *)
-      let on_osr (m : meth_id) (b : bid) : osr_verdict =
-        let key = (m, b) in
-        if t.compiling then Osr_wait
-        else if Hashtbl.mem t.osr_no key then Osr_no
-        else
-          match (Ir.Program.meth prog m).body with
-          | None -> refuse key
-          | Some body ->
-              if not (Ir.Loops.is_header (loops_for m body) b) then refuse key
-              else (
-                match Hashtbl.find_opt t.osr_sites key with
-                | Some tr ->
-                    let om = tr.osr_target in
-                    (* async: a continuation produced earlier installs
-                       once its simulated latency elapsed *)
-                    (match Hashtbl.find_opt t.pending om with
-                    | Some (obody, ready_at) when vm.cycles >= ready_at ->
-                        Hashtbl.remove t.pending om;
-                        install om obody (Ir.Fn.size obody)
-                    | _ -> ());
-                    if Hashtbl.mem t.code_cache om then enter key tr
-                    else if Hashtbl.mem t.pending om then Osr_wait
-                    else if Hashtbl.mem t.blacklist om then refuse key
-                    else if
-                      (match Hashtbl.find_opt t.recompile_counts om with
-                      | Some n -> n
-                      | None -> 0)
-                      >= t.max_recompiles
-                    then refuse key
-                    else if below_cooldown key m b then Osr_wait
-                    else begin
-                      compile_occupying om;
-                      if Hashtbl.mem t.code_cache om then enter key tr
-                      else begin
-                        arm_cooldown key m b om;
-                        Osr_wait
-                      end
-                    end
-                | None ->
-                    let depth =
-                      match Hashtbl.find_opt t.osr_meta m with
-                      | Some o -> o.od_depth
-                      | None -> 0
-                    in
-                    if depth >= max_osr_depth then refuse key
-                    else if below_cooldown key m b then Osr_wait
-                    else (
-                      match
-                        let x = Ir.Osr.extract_loop body ~header:b in
-                        Ir.Verify.check x.Ir.Osr.x_fn;
-                        x
-                      with
-                      | exception e when containable e -> refuse key
-                      | x ->
-                          let om, tr =
-                            register_extraction ~src_m:m ~header:b
-                              ~depth:(depth + 1) ~kind:"osr" x
-                          in
-                          Hashtbl.replace t.osr_sites key tr;
-                          (* the inherited budget can already be spent:
-                             a blacklisted parent's continuation never
-                             compiles at all *)
-                          if Hashtbl.mem t.blacklist om then refuse key
-                          else begin
-                            compile_occupying om;
-                            if Hashtbl.mem t.code_cache om then enter key tr
-                            else begin
-                              arm_cooldown key m b om;
-                              Osr_wait
-                            end
-                          end))
-      in
-      let exit_to m b (tr : osr_transfer) =
-        t.osr_exits <- t.osr_exits + 1;
-        Obs.Metrics.incr m_osr_exits;
-        Obs.Trace.emit "osr_exit" (fun () ->
-            Support.Json.
-              [
-                ("m", Int m);
-                ("meth", String (meth_name m));
-                ("header", Int b);
-                ("reason", String "invalidate");
-                ("osr_m", Int tr.osr_target);
-              ]);
-        Exit_to tr
-      in
-      (* a compiled frame saw the deopt epoch move at block [b]: if its
-         code object is still the installed one, re-snapshot and keep
-         going; if it is stale, transfer out into a freshly extracted
-         *interpreted* continuation at the next loop header. Extraction
-         failures memoize to Exit_stay — stale code is still correct
-         code, it just stops being preferred. *)
-      let on_osr_exit (m : meth_id) (src : fn) (b : bid) : osr_exit_verdict =
-        match Hashtbl.find_opt t.code_cache m with
-        | Some cur when cur == src -> Exit_stay
-        | _ ->
-            if not (Ir.Loops.is_header (loops_for m src) b) then Exit_watch
-            else
-              let key = (m, b) in
-              let conts = try Hashtbl.find t.exit_conts key with Not_found -> [] in
-              (match List.find_opt (fun (f, _) -> f == src) conts with
-              | Some (_, Some tr) -> exit_to m b tr
-              | Some (_, None) -> Exit_stay
-              | None ->
-                  let depth =
-                    match Hashtbl.find_opt t.osr_meta m with
-                    | Some o -> o.od_depth
-                    | None -> 0
-                  in
-                  let cont =
-                    if depth >= max_osr_depth then None
-                    else
-                      match
-                        let x = Ir.Osr.extract_loop src ~header:b in
-                        Ir.Verify.check x.Ir.Osr.x_fn;
-                        x
-                      with
-                      | exception e when containable e -> None
-                      | x ->
-                          let _om, tr =
-                            register_extraction ~src_m:m ~header:b
-                              ~depth:(depth + 1) ~kind:"deopt" x
-                          in
-                          Some tr
-                  in
-                  Hashtbl.replace t.exit_conts key ((src, cont) :: conts);
-                  (match cont with
-                  | Some tr -> exit_to m b tr
-                  | None -> Exit_stay))
-      in
-      (* a trap is unwinding out of an entered continuation: record the
-         OSR-exit (the trap itself propagates unchanged — output parity
-         with the no-OSR run is the exactness invariant) *)
-      let on_osr_abort (om : meth_id) : unit =
-        let src, b =
-          match Hashtbl.find_opt t.osr_meta om with
-          | Some o -> (o.od_src, o.od_bid)
-          | None -> (om, -1)
-        in
-        t.osr_exits <- t.osr_exits + 1;
-        Obs.Metrics.incr m_osr_exits;
-        Obs.Trace.emit "osr_exit" (fun () ->
-            Support.Json.
-              [
-                ("m", Int src);
-                ("meth", String (meth_name src));
-                ("header", Int b);
-                ("reason", String "trap");
-                ("osr_m", Int om);
-              ])
-      in
-      if t.osr then begin
-        vm.osr_threshold <- t.osr_threshold;
-        vm.osr_exit_armed <- true;
-        vm.on_osr <- on_osr;
-        vm.on_osr_exit <- on_osr_exit;
-        vm.on_osr_abort <- on_osr_abort;
-        vm.osr_headers <-
-          (fun m body b -> Ir.Loops.is_header (loops_for m body) b)
-      end;
-      vm.on_entry <-
-        (fun m ->
-          (* time-series sampling: one [None] match while detached *)
-          sample_timeline t;
-          (* serve mode: pump the background compiler — when it is idle
-             and a request is waiting, service the highest-priority one.
-             Requests that went stale while queued (installed via OSR,
-             blacklisted, already pending) drop without occupying it. *)
-          (match t.serve_queue with
-          | None -> ()
-          | Some q ->
-              if not t.compiling then begin
-                let rec pump () =
-                  match Scheduler.pop q ~now:vm.cycles with
-                  | None -> ()
-                  | Some (qm, wait) ->
-                      if
-                        Hashtbl.mem t.code_cache qm
-                        || Hashtbl.mem t.pending qm
-                        || Hashtbl.mem t.blacklist qm
-                      then pump ()
-                      else begin
-                        t.queue_waits <- wait :: t.queue_waits;
-                        Obs.Metrics.observe m_queue_wait wait;
-                        Obs.Trace.emit "serve_dequeue" (fun () ->
-                            Support.Json.
-                              [
-                                ("m", Int qm);
-                                ("meth", String (meth_name qm));
-                                ("wait", Int wait);
-                                ("depth", Int (Scheduler.length q));
-                              ]);
-                        compile_occupying qm
-                      end
-                in
-                pump ()
-              end);
-          (* background compilations whose latency has elapsed install at
-             the next entry of their method *)
-          (match Hashtbl.find_opt t.pending m with
-          | Some (body, ready_at) when vm.cycles >= ready_at ->
-              Hashtbl.remove t.pending m;
-              install m body (Ir.Fn.size body)
-          | _ -> ());
-          (* bounded cache: every entry of a resident method refreshes
-             its retention (the LRU term of the eviction score) *)
-          (match t.serve_cache with
-          | None -> ()
-          | Some cache ->
-              if Hashtbl.mem t.code_cache m then
-                Codecache.touch cache m ~now:vm.cycles);
-          (* chaos: an invalidation storm throws away installed code, as a
-             burst of spec misses would. Bounded by [max_recompiles] like
-             real invalidations, so the engine still converges under
-             rate=1.0 — after the cap the code stays installed. *)
-          (if
-             Support.Chaos.enabled ()
-             && (not t.compiling)
-             && Hashtbl.mem t.code_cache m
-           then
-             let recompiled =
-               match Hashtbl.find_opt t.recompile_counts m with Some n -> n | None -> 0
-             in
-             if
-               recompiled < t.max_recompiles
-               && Support.Chaos.(roll Invalidation_storm)
-             then begin
-               Obs.Trace.emit "chaos" (fun () ->
-                   Support.Json.
-                     [
-                       ( "fault",
-                         String Support.Chaos.(fault_to_string Invalidation_storm) );
-                       ("m", Int m);
-                       ("meth", String (meth_name m));
-                     ]);
-               invalidate m ~misses:0 ~recompiled
-             end);
-          if
-            (not t.compiling)
-            && (not (Hashtbl.mem t.code_cache m))
-            && (not (Hashtbl.mem t.pending m))
-            && (not (Hashtbl.mem t.blacklist m))
-            && (Ir.Program.meth prog m).body <> None
-            &&
-            let invocations = Runtime.Profile.invocation_count vm.profiles m in
-            (invocations + 1 >= config.hotness_threshold
-            (* backedge-driven hotness: a method whose loop crossed the
-               OSR bar promotes at its next call even if its invocation
-               count never will (the single-invocation blind spot) *)
-            || (t.osr_threshold < max_int
-               && Runtime.Profile.max_block_count vm.profiles m
-                  >= t.osr_threshold))
-            && invocations + 1
-               >= (match Hashtbl.find_opt t.cooldown m with Some c -> c | None -> 0)
-          then begin
-            if not (Hashtbl.mem t.first_hot m) then
-              Hashtbl.replace t.first_hot m vm.cycles;
-            match t.serve_queue with
-            | None -> compile_now m
-            | Some q ->
-                (* serve mode: hot methods request compilation instead of
-                   compiling inline; admission control may shed the
-                   request (or a cheaper waiting one), in which case the
-                   method keeps interpreting and retries on later
-                   entries with ever-growing hotness *)
-                if not (Scheduler.mem q m) then begin
-                  let hotness =
-                    let inv = Runtime.Profile.invocation_count vm.profiles m + 1 in
-                    let backedge =
-                      if t.osr_threshold < max_int then
-                        Runtime.Profile.max_block_count vm.profiles m / 64
-                      else 0
-                    in
-                    max inv backedge
-                  in
-                  let shed v reason =
-                    t.sheds <- t.sheds + 1;
-                    Obs.Metrics.incr m_sheds;
-                    Obs.Trace.emit "shed" (fun () ->
-                        Support.Json.
-                          [
-                            ("m", Int v);
-                            ("meth", String (meth_name v));
-                            ("reason", String reason);
-                            ("depth", Int (Scheduler.length q));
-                          ])
-                  in
-                  let admitted () =
-                    Obs.Metrics.incr m_enqueues;
-                    Obs.Trace.emit "serve_enqueue" (fun () ->
-                        Support.Json.
-                          [
-                            ("m", Int m);
-                            ("meth", String (meth_name m));
-                            ("hotness", Int hotness);
-                            ("depth", Int (Scheduler.length q));
-                          ])
-                  in
-                  match Scheduler.enqueue q ~meth:m ~hotness ~now:vm.cycles with
-                  | Scheduler.Bumped -> ()
-                  | Scheduler.Admitted -> admitted ()
-                  | Scheduler.Displaced v ->
-                      shed v "displaced";
-                      admitted ()
-                  | Scheduler.Rejected -> shed m "rejected"
-                end
-          end);
-      vm.on_spec_miss <-
-        (fun m _site ->
-          if t.spec_miss_threshold < max_int && Hashtbl.mem t.code_cache m then begin
-            let r =
-              match Hashtbl.find_opt t.miss_counts m with
-              | Some r -> r
-              | None ->
-                  let r = ref 0 in
-                  Hashtbl.replace t.miss_counts m r;
-                  r
-            in
-            incr r;
-            let recompiled =
-              match Hashtbl.find_opt t.recompile_counts m with Some n -> n | None -> 0
-            in
-            if !r >= t.spec_miss_threshold && recompiled < t.max_recompiles then
-              (* drop the code, let the interpreter re-profile the shifted
-                 receiver distribution, recompile later *)
-              invalidate m ~misses:!r ~recompiled
-          end))
-  ;
+  if config.compiler <> None then begin
+    if t.osr then begin
+      vm.osr_threshold <- t.osr_threshold;
+      vm.osr_exit_armed <- true;
+      vm.on_osr <- (fun m b -> on_osr t m b);
+      vm.on_osr_exit <- (fun m src b -> on_osr_exit t m src b);
+      vm.on_osr_abort <- (fun om -> on_osr_abort t om);
+      vm.osr_headers <- (fun m body b -> is_loop_header t m body b)
+    end;
+    vm.on_entry <- (fun m -> on_entry t m);
+    vm.on_spec_miss <- (fun m _site -> on_spec_miss t m)
+  end;
   t
 
 let run_main (t : t) : Runtime.Values.value = Runtime.Interp.run_main t.vm
@@ -1056,12 +1033,10 @@ let superinst_stats (t : t) : Runtime.Interp.sstat list =
   Runtime.Interp.superinst_stats t.vm
 
 (* How the interpreted tier dispatches, for reports: the threaded tier's
-   closure chains, the prepared tier's dispatch match, or the reference
-   walker. *)
+   closure chains or the reference walker. *)
 let dispatch_label (t : t) : string =
   match t.vm.backend with
   | Runtime.Interp.Threaded -> "threaded"
-  | Runtime.Interp.Prepared -> "match"
   | Runtime.Interp.Reference -> "walker"
 
 (* Async-compilation accounting: a pending body whose method is never
@@ -1091,7 +1066,7 @@ let flush_pending ?(force = false) (t : t) : int =
   List.iter
     (fun (m, body) ->
       Hashtbl.remove t.pending m;
-      t.install_pending m body)
+      install t m body)
     ready;
   List.length ready
 

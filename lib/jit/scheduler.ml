@@ -93,8 +93,6 @@ let mem t meth = List.exists (fun r -> r.rq_meth = meth) t.reqs
 
 let remove t meth = t.reqs <- List.filter (fun r -> r.rq_meth <> meth) t.reqs
 
-let busy_until t = t.busy
-
 let occupy t ~until = if until > t.busy then t.busy <- until
 
 let pop t ~now =

@@ -54,10 +54,6 @@ val remove : 'k t -> 'k -> unit
 (** Drops a waiting request (blacklisted or invalidated methods). A
     no-op when absent. *)
 
-val busy_until : 'k t -> int
-(** The caller-clock time until which the background compiler is
-    occupied by the last serviced request. Initially 0. *)
-
 val occupy : 'k t -> until:int -> unit
 (** Marks the compiler busy until [until] (monotone: never moves the
     horizon backward). The engine calls this after servicing a request —
@@ -65,7 +61,8 @@ val occupy : 'k t -> until:int -> unit
     one compiler. *)
 
 val pop : 'k t -> now:int -> ('k * int) option
-(** The highest-score waiting request if the compiler is idle
-    ([now >= busy_until]) and the queue is nonempty; returns the method
-    and its queue wait ([now - enqueued_at], clamped to [>= 0]). Ties
-    pop the longest-waiting request. *)
+(** The highest-score waiting request if the compiler is idle ([now]
+    has reached the horizon set by {!occupy}, initially 0) and the queue
+    is nonempty; returns the method and its queue wait
+    ([now - enqueued_at], clamped to [>= 0]). Ties pop the
+    longest-waiting request. *)

@@ -15,7 +15,8 @@
 
 type tier = Interp | Prepared | Jit
 (** [Jit]: installed compiled code. [Prepared]/[Interp]: the interpreted
-    tier under the prepared and reference backends respectively. *)
+    tier under the threaded backend (which runs prepared code) and the
+    reference walker respectively. *)
 
 val tier_name : tier -> string
 

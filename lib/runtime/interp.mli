@@ -7,11 +7,13 @@
     Two execution backends implement identical observable semantics (see
     docs/ARCHITECTURE.md, "Prepared code & dispatch caching"):
 
-    - [Prepared] (the default): method bodies are translated once into
+    - [Threaded] (the default): method bodies are translated once into
       dense {!Prepared.code} objects — flat register frames, edge-resolved
-      phis, pre-decoded instructions — and cached per (method, tier).
+      phis, pre-decoded instructions — cached per (method, tier), and
+      lowered to subroutine-threaded handler closures with profile-guided
+      superinstruction fusion.
     - [Reference]: the original direct IR walker, kept as the executable
-      specification that the differential suite checks the prepared engine
+      specification that the differential suite checks the threaded tier
       against.
 
     Two hooks connect the VM to a JIT engine without a dependency cycle:
@@ -23,12 +25,10 @@ open Values
 
 type mode = Interpreted | Compiled
 
-type backend = Threaded | Prepared | Reference
+type backend = Threaded | Reference
 (** [Threaded] (the default): subroutine-threaded closures over prepared
-    code, with profile-guided superinstruction fusion. [Prepared]: the
-    dispatch-match walker over the same pre-decoded form. [Reference]:
-    the direct IR walker. All three implement identical observable
-    semantics. *)
+    code, with profile-guided superinstruction fusion. [Reference]: the
+    direct IR walker. Both implement identical observable semantics. *)
 
 type osr_transfer = {
   osr_target : meth_id;
@@ -163,8 +163,8 @@ val enable_attribution : vm -> Attribution.t
 (** Installs (or returns the already-installed) per-method cycle
     attribution: every invocation is then bracketed with enter/leave on
     the simulated clock, split by tier — [Jit] for installed compiled
-    code, [Interp]/[Prepared] for the interpreted tier under the
-    respective backend. *)
+    code, [Interp] for the interpreted tier under the reference walker and
+    [Prepared] under the threaded tier. *)
 
 val record_deopt : vm -> meth_id -> unit
 (** Counts a deoptimization against the method when attribution is
@@ -201,9 +201,9 @@ val invoke : vm -> meth_id -> value array -> value
 
 val exec : vm -> mode:mode -> meth:meth_id -> fn -> value array -> value
 (** Executes a specific body in a specific tier; used by [invoke] and by
-    tests that want to pin the tier. Under the [Prepared] backend the body
-    is translated per call (uncached) — cached execution goes through
-    [invoke]. *)
+    tests that want to pin the tier. Under the [Threaded] backend the body
+    is prepared and lowered per call (uncached) — cached execution goes
+    through [invoke]. *)
 
 val run_main : vm -> value
 (** @raise Trap if the program has no main or on runtime errors. *)

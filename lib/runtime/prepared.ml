@@ -110,9 +110,6 @@ type code = {
   ics : Ic.t array;     (* every inline cache in [blocks], decode order *)
 }
 
-let fname (c : code) = c.fname
-let num_blocks (c : code) = Array.length c.blocks
-
 (* ---------- translation ---------- *)
 
 let decode_instr ~(cost : Cost.t) ~(ics : Ic.t list ref) (prog : program)

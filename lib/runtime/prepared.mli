@@ -89,9 +89,6 @@ type code = {
   ics : Ic.t array;  (** every inline cache in [blocks], decode order *)
 }
 
-val fname : code -> string
-val num_blocks : code -> int
-
 val prepare : cost:Cost.t -> program -> fn -> code
 (** Translates one function. Costs are baked against [cost]; class field
     layouts referenced by [New] are snapshotted from the program. *)

@@ -1,13 +1,16 @@
-(* Differential tests for the prepared execution engine: the [Prepared]
-   backend must be observationally identical to the [Reference] IR walker
-   — same output, same results, same simulated cycles, same step counts,
-   same recorded profiles — on every registered workload, on random
-   programs, across the tiered engine (where compiled-code installation
-   exercises prepared-cache invalidation), and on trapping programs.
+(* Differential tests for the production execution engine: the
+   [Threaded] backend, which runs prepared code at default fusion
+   thresholds, must be observationally identical to the [Reference] IR
+   walker — same output, same results, same simulated cycles, same step
+   counts, same recorded profiles — on every registered workload, on
+   random programs, across the tiered engine (where compiled-code
+   installation exercises prepared-cache invalidation), and on trapping
+   programs.
 
    The reference backend is the seed interpreter kept verbatim; these
-   tests are the proof that preparation changed *when* work happens, not
-   *what* the program observes. *)
+   tests are the proof that preparation and threading changed *when*
+   work happens, not *what* the program observes. test_threaded.ml runs
+   the same comparison at eager fusion thresholds. *)
 
 open Util
 
@@ -24,14 +27,14 @@ type snap = {
   epoch : int;
 }
 
-let check_same what (ref_ : snap) (pre : snap) =
+let check_same what (ref_ : snap) (thr : snap) =
   let s = Alcotest.(check string) and i = Alcotest.(check int) in
-  s (what ^ ": output") ref_.output pre.output;
-  Alcotest.(check (list string)) (what ^ ": results") ref_.results pre.results;
-  i (what ^ ": cycles") ref_.cycles pre.cycles;
-  i (what ^ ": steps") ref_.steps pre.steps;
-  s (what ^ ": profiles") ref_.profile pre.profile;
-  i (what ^ ": installed methods") ref_.installed pre.installed
+  s (what ^ ": output") ref_.output thr.output;
+  Alcotest.(check (list string)) (what ^ ": results") ref_.results thr.results;
+  i (what ^ ": cycles") ref_.cycles thr.cycles;
+  i (what ^ ": steps") ref_.steps thr.steps;
+  s (what ^ ": profiles") ref_.profile thr.profile;
+  i (what ^ ": installed methods") ref_.installed thr.installed
 
 (* One engine run over a freshly compiled workload: main once, then the
    bench entry [iters] times. *)
@@ -72,9 +75,9 @@ let test_workloads_interp () =
     (fun (w : Workloads.Defs.t) ->
       let run b = run_workload ~hotness:max_int ~iters:2 b w in
       let ref_ = run Runtime.Interp.Reference in
-      let pre = run Runtime.Interp.Prepared in
-      check_same w.name ref_ pre;
-      Alcotest.(check int) (w.name ^ ": no installs, epoch stays 0") 0 pre.epoch)
+      let thr = run Runtime.Interp.Threaded in
+      check_same w.name ref_ thr;
+      Alcotest.(check int) (w.name ^ ": no installs, epoch stays 0") 0 thr.epoch)
     Workloads.Registry.all
 
 (* ---------- tiered engine: compile, install, invalidate ---------- *)
@@ -95,12 +98,12 @@ let test_workloads_tiered () =
           ~spec_miss_threshold:4 ~hotness:3 ~iters:(min w.iters 12) b w
       in
       let ref_ = run Runtime.Interp.Reference in
-      let pre = run Runtime.Interp.Prepared in
-      check_same (w.name ^ " (tiered)") ref_ pre;
-      if pre.installed > 0 then
+      let thr = run Runtime.Interp.Threaded in
+      check_same (w.name ^ " (tiered)") ref_ thr;
+      if thr.installed > 0 then
         Alcotest.(check bool)
           (w.name ^ ": installs bumped the code epoch")
-          true (pre.epoch > 0))
+          true (thr.epoch > 0))
     subset
 
 (* ---------- cache invalidation drops stale prepared code ---------- *)
@@ -312,18 +315,18 @@ let vm_snap (backend : Runtime.Interp.backend) (src : string) : snap =
     epoch = vm.code_epoch;
   }
 
-let same what (ref_ : snap) (pre : snap) =
-  if ref_ <> pre then
+let same what (ref_ : snap) (thr : snap) =
+  if ref_ <> thr then
     QCheck.Test.fail_reportf
       "%s diverged:@.cycles %d vs %d, steps %d vs %d@.output %S vs %S" what
-      ref_.cycles pre.cycles ref_.steps pre.steps ref_.output pre.output;
+      ref_.cycles thr.cycles ref_.steps thr.steps ref_.output thr.output;
   true
 
 let prop_interp_differential =
-  QCheck.Test.make ~name:"prepared = reference on random programs (interp)"
+  QCheck.Test.make ~name:"reference = threaded on random heap programs (interp)"
     ~count:50 program_arbitrary (fun src ->
       same "interp" (vm_snap Runtime.Interp.Reference src)
-        (vm_snap Runtime.Interp.Prepared src))
+        (vm_snap Runtime.Interp.Threaded src))
 
 (* Tiered differential: hot methods compile mid-run under both backends. *)
 let engine_snap (backend : Runtime.Interp.backend) (src : string) : snap =
@@ -351,10 +354,10 @@ let engine_snap (backend : Runtime.Interp.backend) (src : string) : snap =
   }
 
 let prop_tiered_differential =
-  QCheck.Test.make ~name:"prepared = reference on random programs (tiered)"
+  QCheck.Test.make ~name:"reference = threaded on random heap programs (tiered)"
     ~count:30 program_arbitrary (fun src ->
       same "tiered" (engine_snap Runtime.Interp.Reference src)
-        (engine_snap Runtime.Interp.Prepared src))
+        (engine_snap Runtime.Interp.Threaded src))
 
 (* ---------- inline caches ---------- *)
 
@@ -362,7 +365,7 @@ let prop_tiered_differential =
    nothing the program (or the profile fold) can see. *)
 let vm_snap_ic ~(ic : bool) (src : string) : snap =
   let prog = compile_ok src in
-  let vm = Runtime.Interp.create ~backend:Runtime.Interp.Prepared prog in
+  let vm = Runtime.Interp.create prog in
   vm.ic_enabled <- ic;
   let v = Runtime.Interp.run_main vm in
   {
@@ -506,7 +509,7 @@ def main(): Unit = {
 }|}
   in
   let prog = Util.compile src in
-  let vm = Runtime.Interp.create ~backend:Runtime.Interp.Prepared prog in
+  let vm = Runtime.Interp.create prog in
   ignore (Runtime.Interp.run_main vm);
   let _, _, mega = ic_totals (Runtime.Interp.ic_stats vm) in
   let hits, _, _ = ic_totals (Runtime.Interp.ic_stats vm) in
@@ -556,9 +559,9 @@ let test_traps () =
   List.iter
     (fun (name, max_steps, src) ->
       let rmsg, rsnap = trap_snap ?max_steps Runtime.Interp.Reference src in
-      let pmsg, psnap = trap_snap ?max_steps Runtime.Interp.Prepared src in
-      Alcotest.(check string) (name ^ ": message") rmsg pmsg;
-      check_same name rsnap psnap)
+      let tmsg, tsnap = trap_snap ?max_steps Runtime.Interp.Threaded src in
+      Alcotest.(check string) (name ^ ": message") rmsg tmsg;
+      check_same name rsnap tsnap)
     trap_cases
 
 let () =

@@ -1,8 +1,7 @@
 (* Differential tests for the threaded execution tier: the [Threaded]
    backend — subroutine-threaded handler closures with profile-guided
-   superinstruction fusion — must be observationally identical to both
-   the [Reference] IR walker and the [Prepared] dispatch-match walker:
-   same output, same results, same simulated cycles, same step counts,
+   superinstruction fusion — must be observationally identical to the
+   [Reference] IR walker: same output, same results, same simulated cycles, same step counts,
    same folded profiles. Fusion batches the bookkeeping of a linear run
    of ops into one handler, so these tests deliberately push methods
    across the fusion thresholds and then look for drift at every
@@ -66,7 +65,7 @@ let run_workload ?compiler ?spec_miss_threshold ?fusion ~(hotness : int)
     installed = Jit.Engine.installed_methods engine;
   }
 
-(* ---------- every workload, three-way, interpreter only ---------- *)
+(* ---------- every workload, eager fusion, interpreter only ---------- *)
 
 let test_workloads_threaded () =
   List.iter
@@ -74,10 +73,8 @@ let test_workloads_threaded () =
       (* enough bench invocations to cross [eager.fuse_invocations] *)
       let run ?fusion b = run_workload ?fusion ~hotness:max_int ~iters:6 b w in
       let ref_ = run Runtime.Interp.Reference in
-      let pre = run Runtime.Interp.Prepared in
       let thr = run ~fusion:eager Runtime.Interp.Threaded in
-      check_same (w.name ^ " ref=thr") ref_ thr;
-      check_same (w.name ^ " pre=thr") pre thr)
+      check_same (w.name ^ " ref=thr") ref_ thr)
     Workloads.Registry.all
 
 (* ---------- tiered: compile, install, invalidate under threading ---------- *)
@@ -210,9 +207,8 @@ let same what (ref_ : snap) (thr : snap) =
 let prop_threaded_interp =
   QCheck.Test.make ~name:"threaded = reference on random programs (interp)"
     ~count:50 program_arbitrary (fun src ->
-      let thr = vm_snap ~fusion:eager Runtime.Interp.Threaded src in
-      ignore (same "thr=ref" (vm_snap Runtime.Interp.Reference src) thr);
-      same "thr=pre" (vm_snap Runtime.Interp.Prepared src) thr)
+      same "thr=ref" (vm_snap Runtime.Interp.Reference src)
+        (vm_snap ~fusion:eager Runtime.Interp.Threaded src))
 
 let engine_snap ?fusion (backend : Runtime.Interp.backend) (src : string) : snap =
   let prog = compile_ok src in
@@ -420,7 +416,7 @@ let () =
     [
       ( "workloads",
         [
-          test "all workloads, three-way, interpreter only" test_workloads_threaded;
+          test "all workloads, eager fusion, interpreter only" test_workloads_threaded;
           test "workload subset, tiered with invalidation"
             test_workloads_tiered_threaded;
         ] );
