@@ -1,9 +1,9 @@
 (* Golden pin of every inlining and optimization decision on the workload
    registry. Each program runs under the incremental inliner, the greedy
-   baseline and the C2-like baseline on a fresh engine, in the benchmark's
-   warm-up regime (hotness 8, 12 iterations of [bench]), and records the
-   installed code size, the simulated compile cycles and a digest of the
-   printed installed IR. A change meant to be wall-clock only must leave
+   baseline, the C2-like baseline and the inliner's three ablations on a
+   fresh engine, in the benchmark's warm-up regime (hotness 8, 12
+   iterations of [bench]), and records the installed code size, the
+   simulated compile cycles and a digest of the printed installed IR. A change meant to be wall-clock only must leave
    every line of golden/decisions.golden unchanged. *)
 
 open Util
@@ -12,15 +12,27 @@ let golden_path = "golden/decisions.golden"
 let hotness = 8
 let iters = 12
 
+let incremental params () : Jit.Engine.compiler =
+  let tc = Inliner.Trial_cache.create () in
+  fun prog prof m -> (Inliner.Algorithm.compile ~trial_cache:tc prog prof params m).body
+
 let compilers : (string * (unit -> Jit.Engine.compiler)) list =
   [
-    ( "incremental",
-      fun () ->
-        let tc = Inliner.Trial_cache.create () in
-        fun prog prof m ->
-          (Inliner.Algorithm.compile ~trial_cache:tc prog prof Inliner.Params.default m).body );
+    ("incremental", incremental Inliner.Params.default);
     ("greedy", fun () -> greedy);
     ("c2-like", fun () -> c2like);
+  ]
+
+(* The ablation presets of [selvm --config]. [Params.default] takes
+   neither the Fixed-policy expansion budget nor the shallow-trials path,
+   so these pin the decisions the default lines cannot. Their lines follow
+   all of the lines above. *)
+let ablations : (string * (unit -> Jit.Engine.compiler)) list =
+  let open Inliner.Params in
+  [
+    ("incremental-fixed", incremental (with_fixed ~te:300 ~ti:600 default));
+    ("incremental-shallow", incremental (without_deep_trials default));
+    ("incremental-1by1", incremental (without_clustering default));
   ]
 
 (* The installed bodies in method-id order, printed. *)
@@ -63,11 +75,10 @@ let read_lines path =
 let tests =
   [
     test "installed code matches golden/decisions.golden" (fun () ->
-        let actual =
-          List.concat_map
-            (fun w -> List.map (line w) compilers)
-            Workloads.Registry.all
+        let lines configs =
+          List.concat_map (fun w -> List.map (line w) configs) Workloads.Registry.all
         in
+        let actual = lines compilers @ lines ablations in
         match read_lines golden_path with
         | None ->
             Alcotest.failf "missing %s; the current decisions are:\n%s" golden_path
