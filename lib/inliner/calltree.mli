@@ -38,7 +38,18 @@ type node = {
   mutable in_parent_cluster : bool;
   mutable front : node list;
   mutable declined : bool;        (** failed the expansion threshold this phase *)
+  mutable size : int;             (** |ir(n)|, measured when the kind is set *)
+  mutable candidate : bool;
+      (** the subtree holds a cutoff not declined this phase *)
+  mutable p_i : float;            (** P_I(n) *)
+  mutable sub_ir : int;           (** S_ir(n) *)
+  mutable sub_b : int;            (** S_b(n) *)
+  mutable sub_c : int;            (** N_c(n) *)
 }
+(** The last five fields cache subtree aggregates for the expansion
+    phase. {!Expansion.run} computes them when it starts and keeps them
+    equal to {!Expansion.intrinsic_priority}, {!s_ir}, {!s_b} and {!n_c}
+    while it runs; outside it they may be stale. *)
 
 type t = {
   prog : program;
@@ -74,7 +85,13 @@ val node_depth : node -> int
 (** {1 Metrics} *)
 
 val node_size : t -> node -> int
-(** |ir(n)|: the size inlining this node would add. *)
+(** |ir(n)|: the size inlining this node would add, as measured when the
+    node's kind was last set. It stays exact for the whole compile:
+    expanded bodies are never mutated, and prepared bodies and profiles do
+    not change while a method compiles. *)
+
+val measure_size : t -> node -> int
+(** |ir(n)| measured afresh: the definition {!node_size} caches. *)
 
 val s_ir : t -> node -> int
 val s_b : t -> node -> int

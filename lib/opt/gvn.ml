@@ -6,31 +6,35 @@
 
 open Ir.Types
 
-(* A structural key for numberable instructions. Phis are excluded (their
-   meaning depends on control flow); commutative operators are normalized
-   by sorting operands. *)
-let key_of (k : instr_kind) : string option =
-  let commutative = function
-    | Add | Mul | Band | Bor | Bxor | Eq | Ne | Andb | Orb | Xorb | Eqb -> true
-    | Sub | Div | Rem | Shl | Shr | Lt | Le | Gt | Ge -> false
-  in
+(* The structural key of a numberable instruction. Phis are excluded
+   (their meaning depends on control flow); commutative operators are
+   normalized by sorting operands. *)
+type key =
+  | K_const of const
+  | K_binop of binop * vid * vid
+  | K_unop of unop * vid
+  | K_typetest of vid * class_id
+  | K_arraylen of vid
+  | K_intrinsic of intrinsic * vid list
+
+let commutative = function
+  | Add | Mul | Band | Bor | Bxor | Eq | Ne | Andb | Orb | Xorb | Eqb -> true
+  | Sub | Div | Rem | Shl | Shr | Lt | Le | Gt | Ge -> false
+
+let key_of (k : instr_kind) : key option =
   match k with
-  | Const c -> Some (Fmt.str "c:%a" Ir.Printer.pp_const c)
+  | Const c -> Some (K_const c)
   | Binop (op, a, b) ->
-      let a, b = if commutative op && b < a then (b, a) else (a, b) in
-      Some (Printf.sprintf "b:%s:%d:%d" (Ir.Printer.binop_name op) a b)
-  | Unop (op, a) -> Some (Printf.sprintf "u:%s:%d" (Ir.Printer.unop_name op) a)
-  | TypeTest { obj; cls } -> Some (Printf.sprintf "tt:%d:%d" obj cls)
-  | ArrayLen a -> Some (Printf.sprintf "al:%d" a)
-  | Intrinsic (i, args) when Ir.Instr.is_pure k ->
-      Some
-        (Printf.sprintf "i:%s:%s" (Ir.Printer.intrinsic_name i)
-           (String.concat "," (List.map string_of_int args)))
+      if commutative op && b < a then Some (K_binop (op, b, a)) else Some (K_binop (op, a, b))
+  | Unop (op, a) -> Some (K_unop (op, a))
+  | TypeTest { obj; cls } -> Some (K_typetest (obj, cls))
+  | ArrayLen a -> Some (K_arraylen a)
+  | Intrinsic (i, args) when Ir.Instr.is_pure k -> Some (K_intrinsic (i, args))
   | _ -> None
 
 let run (fn : fn) : int =
   let doms = Ir.Dominators.compute fn in
-  let table : (string, vid) Hashtbl.t = Hashtbl.create 64 in
+  let table : (key, vid) Hashtbl.t = Hashtbl.create 64 in
   let replaced = ref 0 in
   let rec walk (b : bid) =
     let blk = Ir.Fn.block fn b in

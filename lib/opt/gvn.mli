@@ -4,8 +4,5 @@
     Commutative operands are normalized; loads from mutable memory never
     participate. *)
 
-val key_of : Ir.Types.instr_kind -> string option
-(** The structural key, or [None] for non-numberable instructions. *)
-
 val run : Ir.Types.fn -> int
 (** Returns the number of instructions replaced. *)

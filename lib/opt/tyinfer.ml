@@ -67,10 +67,13 @@ let leq prog a b = join prog a b = b
 (* Strictly more precise (used by loop peeling to decide profitability). *)
 let lt prog a b = a <> b && leq prog a b
 
-type env = (vid, vt) Hashtbl.t
+(* Indexed by vid, sized to the function's instruction store when
+   inferred. Unreached and dead vids hold [Vt_bot]; an inferred entry
+   never does, since it is a join with a transfer result. *)
+type env = vt array
 
 let transfer (prog : program) (fn : fn) (env : env) (i : instr) : vt =
-  let get v = match Hashtbl.find_opt env v with Some x -> x | None -> Vt_bot in
+  let get v = if v >= 0 && v < Array.length env then env.(v) else Vt_bot in
   match i.kind with
   | Const (Cint _) -> Vt_prim Tint
   | Const (Cbool _) -> Vt_prim Tbool
@@ -96,25 +99,28 @@ let transfer (prog : program) (fn : fn) (env : env) (i : instr) : vt =
 (* Iterates to a fixpoint; the lattice has finite height (class hierarchy
    depth), so this terminates quickly. *)
 let infer (prog : program) (fn : fn) : env =
-  let env : env = Hashtbl.create 64 in
+  let env = Array.make (Support.Vec.length fn.instrs) Vt_bot in
   let changed = ref true in
   while !changed do
     changed := false;
     Ir.Fn.iter_instrs
       (fun i ->
         let nv = transfer prog fn env i in
-        let ov = match Hashtbl.find_opt env i.id with Some x -> x | None -> Vt_bot in
+        let ov = env.(i.id) in
         let joined = join prog ov nv in
         if joined <> ov then begin
-          Hashtbl.replace env i.id joined;
+          env.(i.id) <- joined;
           changed := true
         end)
       fn
   done;
   env
 
+(* Vids the inference never reached, and vids created after it ran, are
+   unknown. *)
 let value_type (env : env) (v : vid) : vt =
-  match Hashtbl.find_opt env v with Some x -> x | None -> Vt_top
+  if v < 0 || v >= Array.length env then Vt_top
+  else match env.(v) with Vt_bot -> Vt_top | x -> x
 
 (* The receiver class when a virtual call can be devirtualized:
    - exact receiver type: resolve on it;

@@ -20,13 +20,17 @@ val leq : program -> vt -> vt -> bool
 val lt : program -> vt -> vt -> bool
 (** Strictly more precise. *)
 
-type env = (vid, vt) Hashtbl.t
+type env
+(** The inferred type of every vid of one function, in a vid-indexed
+    array. *)
 
 val infer : program -> fn -> env
 (** Fixpoint over all instructions (the lattice height is the class
     hierarchy depth, so this converges fast). *)
 
 val value_type : env -> vid -> vt
+(** [Vt_top] for vids the inference did not reach: dead ones and ones
+    created after [infer] ran. *)
 
 val devirt_target : program -> env -> vid -> string -> meth_id option
 (** The unique dispatch target of [selector] on the receiver, via an exact
