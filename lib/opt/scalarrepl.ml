@@ -61,11 +61,18 @@ type state = {
   entry_val : (int * bid, vid) Hashtbl.t;
   exit_val : (int * bid, vid) Hashtbl.t;
   slot_ty : int -> ty;
+  forward : (vid, vid) Hashtbl.t;
+      (* deleted load -> its replacement; a stored value may itself be a
+         load of the same allocation ([c.v = c.v]), so recorded slot
+         values are read through this map *)
 }
+
+let rec resolve (st : state) (v : vid) : vid =
+  match Hashtbl.find_opt st.forward v with Some r -> resolve st r | None -> v
 
 let rec entry_value (st : state) (slot : int) (b : bid) : vid =
   match Hashtbl.find_opt st.entry_val (slot, b) with
-  | Some v -> v
+  | Some v -> resolve st v
   | None -> (
       match st.preds.(b) with
       | [] ->
@@ -107,7 +114,7 @@ let rec entry_value (st : state) (slot : int) (b : bid) : vid =
 
 and exit_value (st : state) (slot : int) (b : bid) : vid =
   match Hashtbl.find_opt st.exit_val (slot, b) with
-  | Some v -> v
+  | Some v -> resolve st v
   | None -> entry_value st slot b
 
 (* Scalar-replaces one non-escaping allocation. *)
@@ -121,6 +128,7 @@ let replace_one (prog : program) (fn : fn) (obj : instr) : unit =
       entry_val = Hashtbl.create 16;
       exit_val = Hashtbl.create 16;
       slot_ty = (fun slot -> snd layout.(slot));
+      forward = Hashtbl.create 16;
     }
   in
   (* the New defines every slot to its default; materialize the constants
@@ -158,9 +166,10 @@ let replace_one (prog : program) (fn : fn) (obj : instr) : unit =
     (fun (load, source) ->
       let replacement =
         match source with
-        | `Value v -> v
+        | `Value v -> resolve st v
         | `Entry (slot, b) -> entry_value st slot b
       in
+      Hashtbl.replace st.forward load replacement;
       Ir.Fn.replace_uses fn ~old_v:load ~new_v:replacement;
       Ir.Fn.delete_instr fn load)
     (List.rev !loads);
